@@ -102,34 +102,27 @@ def _best_of(repeats, fn, *args, **kwargs):
     return min(walls)
 
 
-def compare_compute_paths(events, services, backend):
-    """Row-dict vs columnar timings on one shared, pre-ingested job.
+def time_compute_path(events, services, backend):
+    """Compute-only timings on one pre-ingested job.
 
     Times only :meth:`DailyCdiJob.run` (the daily compute), not job
-    construction or ingestion, so the ratio isolates the scan + resolve
-    path difference; plus the raw table-scan timings underneath.
+    construction or ingestion, plus the raw columnar table scan
+    underneath.
     """
     context = EngineContext(parallelism=PARALLELISM, backend=backend)
     job = DailyCdiJob(context, TableStore(), ConfigDB(), default_catalog())
     job.store_weights(default_weights())
     job.ingest_events(events, "bench")
-    # Warm both paths (seals the column blocks, fills weight caches).
-    job.run("bench", services, use_columnar=True)
-    job.run("bench", services, use_columnar=False)
-    run_columnar = _best_of(TIMED_REPEATS, job.run, "bench", services,
-                            use_columnar=True)
-    run_rows = _best_of(TIMED_REPEATS, job.run, "bench", services,
-                        use_columnar=False)
-
+    # Warm-up (seals the column blocks, fills the weight cache).
+    job.run("bench", services)
     table = job.tables.get(EVENTS_TABLE)
-    scan_rows = _best_of(TIMED_REPEATS, table.rows, "bench")
-    scan_columns = _best_of(TIMED_REPEATS, table.columns, "bench")
     return {
-        "job_run_columnar_seconds": run_columnar,
-        "job_run_rows_seconds": run_rows,
-        "columnar_speedup_vs_rows": run_rows / run_columnar,
-        "scan_rows_seconds": scan_rows,
-        "scan_columns_seconds": scan_columns,
+        "job_run_columnar_seconds": _best_of(
+            TIMED_REPEATS, job.run, "bench", services
+        ),
+        "scan_columns_seconds": _best_of(
+            TIMED_REPEATS, table.columns, "bench"
+        ),
     }
 
 
@@ -148,7 +141,7 @@ def test_sec5_pipeline_scale(benchmark):
         walls.append(time.perf_counter() - started)
     wall_seconds = min(walls)
 
-    paths = compare_compute_paths(events, services, backend)
+    paths = time_compute_path(events, services, backend)
 
     # One traced run for the per-stage breakdown (the analogue of
     # reading the production job's Spark UI): pipeline + node stage
@@ -176,13 +169,10 @@ def test_sec5_pipeline_scale(benchmark):
              f"{wall_seconds * 1000:.1f} ms (best of {TIMED_REPEATS})"),
             ("speedup vs seed", "-",
              f"{SEED_BASELINE_WALL_SECONDS / wall_seconds:.1f}x"),
-            ("columnar vs row-dict run", "-",
-             f"{paths['columnar_speedup_vs_rows']:.1f}x "
-             f"({paths['job_run_columnar_seconds'] * 1000:.1f} ms vs "
-             f"{paths['job_run_rows_seconds'] * 1000:.1f} ms)"),
-            ("columnar vs row scan", "-",
-             f"{paths['scan_columns_seconds'] * 1000:.2f} ms vs "
-             f"{paths['scan_rows_seconds'] * 1000:.2f} ms"),
+            ("compute-only run", "-",
+             f"{paths['job_run_columnar_seconds'] * 1000:.1f} ms"),
+            ("columnar events scan", "-",
+             f"{paths['scan_columns_seconds'] * 1000:.2f} ms"),
             *[
                 (f"stage: {name}", "-", f"{seconds * 1000:.2f} ms")
                 for name, seconds in slowest[:4]

@@ -1,4 +1,4 @@
-"""Batched fleet-wide CDI kernel (the daily job's fast path).
+"""Batched fleet-wide CDI kernel (the daily job's compute path).
 
 The production Spark job (Section V) computes Algorithm 1 for millions
 of VMs per day.  The straightforward reproduction runs one pure-Python
@@ -7,9 +7,10 @@ once more *per event name* for the drill-down table.  This module
 replaces all of those sweeps with **one** vectorized pass over the
 entire fleet:
 
-1. every clipped weighted interval of every VM is flattened into flat
-   numpy arrays, tagged with an integer *group id* — one group per
-   ``(vm, category)`` for the per-VM sub-metrics and one per
+1. :func:`fleet_cdi_columns_columnar` — the one kernel assembly, shared
+   by the daily job and the streaming state — clips every weighted
+   interval of every VM and tags it with an integer *group id*: one
+   group per ``(vm, category)`` for the per-VM sub-metrics and one per
    ``(vm, event_name)`` for the drill-down table;
 2. :func:`grouped_damage_integrals` computes the damage integral of
    every group simultaneously via a group-major ``lexsort`` boundary
@@ -38,8 +39,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.core.events import EventCatalog, EventCategory, EventKind, Severity
-from repro.core.indicator import ServicePeriod
-from repro.core.periods import EventPeriod
 from repro.core.weights import WeightConfig
 
 #: Fixed category order of the per-VM output row.
@@ -209,21 +208,13 @@ def grouped_damage_integrals(starts: np.ndarray, ends: np.ndarray,
 
 
 @dataclass(frozen=True, slots=True)
-class FleetTables:
-    """Output of one fleet sweep: the two tables of the daily job."""
-
-    vm_rows: list[dict]
-    event_rows: list[dict]
-
-
-@dataclass(frozen=True, slots=True)
 class FleetColumns:
     """Column-major output of one fleet sweep.
 
-    The same two tables as :class:`FleetTables` but as column value
-    lists, already in the canonical output order (VMs sorted; event
-    rows by ``(vm, event)``) — ready for a columnar partition write
-    with no row-dict materialization in between.
+    The daily job's two tables (``vm_cdi`` and ``event_cdi``) as column
+    value lists, already in the canonical output order (VMs sorted;
+    event rows by ``(vm, event)``) — ready for a columnar partition
+    write with no row-dict materialization in between.
     """
 
     vm_columns: dict[str, list]
@@ -237,93 +228,40 @@ class FleetColumns:
 FlatInterval = tuple[str, float, int, float, float]
 
 
-def fleet_cdi_tables(
-    vm_periods: Sequence[tuple[str, Sequence[EventPeriod]]],
-    services: Mapping[str, ServicePeriod],
-    weight_table: WeightTable,
-) -> FleetTables:
-    """Both daily output tables from a single grouped kernel sweep.
+def flat_interval_arrays(
+    vm_flats: Iterable[tuple[int, Iterable[FlatInterval]]],
+    name_of: dict[str, int],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+           np.ndarray]:
+    """``(vm index, flat intervals)`` pairs → the kernel's parallel arrays.
 
-    ``vm_periods`` holds the resolved event periods of every VM that
-    had events; ``services`` maps VMs to their service periods.
-    Periods whose name the weight table does not know are skipped,
-    exactly like the reference calculator.  VMs without events are the
-    caller's concern (they contribute zero rows without touching the
-    kernel).
+    Returns ``(vm_idx, name_ids, weights, cats, starts, ends)`` as
+    :func:`fleet_cdi_columns_columnar` takes them.  Event names are
+    interned into ``name_of`` (name → id in first-seen order, so
+    ``list(name_of)`` is the matching ``names_list``); the caller may
+    pass a dict that already holds names from other array parts.
     """
-    lookup = weight_table.entries.get
-    vm_intervals: list[tuple[str, list[FlatInterval]]] = []
-    for vm, periods in vm_periods:
-        flat: list[FlatInterval] = []
-        for period in periods:
-            entry = lookup((period.name, period.level))
-            if entry is not None:
-                flat.append(
-                    (period.name, entry[0], entry[1], period.start, period.end)
-                )
-        vm_intervals.append((vm, flat))
-    return fleet_cdi_tables_flat(vm_intervals, services)
-
-
-def fleet_cdi_tables_flat(
-    vm_intervals: Sequence[tuple[str, Sequence[FlatInterval]]],
-    services: Mapping[str, ServicePeriod],
-) -> FleetTables:
-    """Kernel assembly over already weight-resolved flat intervals.
-
-    The per-VM sub-metric groups ``(vm, category)`` and the drill-down
-    groups ``(vm, event_name)`` are concatenated into one group-id
-    space so :func:`grouped_damage_integrals` runs exactly once.
-    """
+    vm_idx: list[int] = []
+    name_ids: list[int] = []
+    weights: list[float] = []
+    cats: list[int] = []
     starts: list[float] = []
     ends: list[float] = []
-    interval_weights: list[float] = []
-    cat_gids: list[int] = []
-    name_gids: list[int] = []
-    add_start = starts.append
-    add_end = ends.append
-    add_weight = interval_weights.append
-    add_cat = cat_gids.append
-    add_name = name_gids.append
-    name_groups: list[tuple[int, str]] = []
-    name_gid_of: dict[tuple[int, str], int] = {}
-    register = name_groups.append
-
-    vm_list: list[str] = []
-    durations: list[float] = []
-    for vm_index, (vm, flat) in enumerate(vm_intervals):
-        vm_list.append(vm)
-        service = services[vm]
-        svc_start, svc_end = service.start, service.end
-        durations.append(svc_end - svc_start)
-        base = 3 * vm_index
-        for name, weight, category_index, raw_start, raw_end in flat:
-            # The drill-down row exists even when every occurrence
-            # clips out of the service period (its CDI is then 0.0),
-            # matching the reference per-name re-sweep.
-            key = (vm_index, name)
-            name_gid = name_gid_of.get(key)
-            if name_gid is None:
-                name_gid = len(name_groups)
-                name_gid_of[key] = name_gid
-                register(key)
-            start = raw_start if raw_start > svc_start else svc_start
-            end = raw_end if raw_end < svc_end else svc_end
-            if end > start and weight > 0.0:
-                add_start(start)
-                add_end(end)
-                add_weight(weight)
-                add_cat(base + category_index)
-                add_name(name_gid)
-
-    return _fleet_tables_from_halves(
-        vm_list, durations,
+    for vm_index, flat in vm_flats:
+        for name, weight, category_index, start, end in flat:
+            vm_idx.append(vm_index)
+            name_ids.append(name_of.setdefault(name, len(name_of)))
+            weights.append(weight)
+            cats.append(category_index)
+            starts.append(start)
+            ends.append(end)
+    return (
+        np.array(vm_idx, dtype=np.int64),
+        np.array(name_ids, dtype=np.int64),
+        np.array(weights, dtype=np.float64),
+        np.array(cats, dtype=np.int64),
         np.array(starts, dtype=np.float64),
         np.array(ends, dtype=np.float64),
-        np.array(interval_weights, dtype=np.float64),
-        np.array(cat_gids, dtype=np.int64),
-        np.array(name_gids, dtype=np.int64),
-        name_groups,
     )
 
 
@@ -339,21 +277,23 @@ def fleet_cdi_columns_columnar(
     starts: np.ndarray,
     ends: np.ndarray,
 ) -> FleetColumns:
-    """Array-native kernel assembly — the columnar daily path.
+    """Array-native kernel assembly: both output tables from one sweep.
 
     Inputs are parallel arrays of weight-resolved, **unclipped**
-    intervals straight out of the column-block resolution stage:
-    ``vm_idx`` indexes into ``vm_list`` (every VM in service, sorted),
+    intervals — straight out of the daily job's column-block resolution
+    stage, or built by :func:`flat_interval_arrays` from flat interval
+    tuples: ``vm_idx`` indexes into ``vm_list`` (sorted; every VM to
+    report on, eventless ones included — they come back as zero rows),
     ``name_ids`` into ``names_list`` (distinct resolved event names),
     and ``svc_starts``/``svc_ends`` are the per-VM service bounds
     aligned with ``vm_list``.  Clipping, drill-down group registration,
     and filtering are vectorized, and the output stays column-major end
-    to end — no row dicts anywhere.  The table *values* are
-    bit-identical to :func:`fleet_cdi_tables_flat`'s: the grouped
-    kernel is insertion-order independent (reordering intervals only
-    permutes zero-length boundary segments, whose products are exactly
-    ``0.0``), the per-group normalizations are the same elementwise
-    IEEE divisions, and the output orders are the same canonical sorts.
+    to end — no row dicts anywhere.  Every value is exact per group:
+    the grouped kernel is insertion-order independent (reordering
+    intervals only permutes zero-length boundary segments, whose
+    products are exactly ``0.0``) and the normalizations are elementwise
+    IEEE divisions, so any partition of the fleet into calls — VM
+    shards, or one tick's dirty VMs — yields the same bytes per VM.
     """
     durations_arr = svc_ends - svc_starts
     durations = durations_arr.tolist()
@@ -371,12 +311,21 @@ def fleet_cdi_columns_columnar(
 
     vm_count = len(vm_list)
     cat_group_count = 3 * vm_count
-    integral_arr = _doubled_group_integrals(
-        clipped_starts[keep], clipped_ends[keep],
-        np.ascontiguousarray(weights, dtype=np.float64)[keep],
-        3 * vm_idx[keep] + cats[keep],
-        np.ascontiguousarray(name_gids_all, dtype=np.int64)[keep],
-        cat_group_count, cat_group_count + len(uniq_pairs),
+    # One kernel sweep over both group spaces: each kept interval sits
+    # in its (vm, category) sub-metric group and in its (vm, event-name)
+    # drill-down group, so the coordinates are doubled while the gids
+    # differ (drill-down gids are offset past the category block).
+    kept_starts = clipped_starts[keep]
+    kept_ends = clipped_ends[keep]
+    kept_weights = np.ascontiguousarray(weights, dtype=np.float64)[keep]
+    name_gids = np.ascontiguousarray(name_gids_all, dtype=np.int64)[keep]
+    integral_arr = grouped_damage_integrals(
+        np.concatenate((kept_starts, kept_starts)),
+        np.concatenate((kept_ends, kept_ends)),
+        np.concatenate((kept_weights, kept_weights)),
+        np.concatenate((3 * vm_idx[keep] + cats[keep],
+                        name_gids + cat_group_count)),
+        cat_group_count + len(uniq_pairs),
     )
 
     cat_cdi = integral_arr[:cat_group_count].reshape(vm_count, 3)
@@ -410,121 +359,3 @@ def fleet_cdi_columns_columnar(
         "service_time": [durations[group_vm_list[i]] for i in order],
     }
     return FleetColumns(vm_columns=vm_columns, event_columns=event_columns)
-
-
-def _doubled_group_integrals(
-    half_starts: np.ndarray,
-    half_ends: np.ndarray,
-    half_weights: np.ndarray,
-    cat_gids: np.ndarray,
-    name_gids: np.ndarray,
-    cat_group_count: int,
-    num_groups: int,
-) -> np.ndarray:
-    """One kernel sweep over both group spaces of the fleet tables.
-
-    Each interval participates in two groups — its (vm, category)
-    sub-metric group and its (vm, event-name) drill-down group — so
-    the coordinate arrays are doubled while the gid arrays differ
-    (drill-down gids are offset past the category block).
-    """
-    starts_arr = np.concatenate((half_starts, half_starts))
-    ends_arr = np.concatenate((half_ends, half_ends))
-    weights_arr = np.concatenate((half_weights, half_weights))
-    gids_arr = np.concatenate((cat_gids, name_gids + cat_group_count))
-    return grouped_damage_integrals(
-        starts_arr, ends_arr, weights_arr, gids_arr, num_groups
-    )
-
-
-def _fleet_tables_from_halves(
-    vm_list: list[str],
-    durations: list[float],
-    half_starts: np.ndarray,
-    half_ends: np.ndarray,
-    half_weights: np.ndarray,
-    cat_gids: np.ndarray,
-    name_gids: np.ndarray,
-    name_groups: list[tuple[int, str]],
-) -> FleetTables:
-    """Shared tail of the row-oriented fleet-table builders: one kernel
-    sweep plus row assembly.  ``cat_gids``/``name_gids`` are the two
-    group ids of each kept interval; ``name_groups`` maps drill-down
-    group id → ``(vm index, event name)``."""
-    vm_count = len(vm_list)
-    cat_group_count = 3 * vm_count
-    num_groups = cat_group_count + len(name_groups)
-    integral_arr = _doubled_group_integrals(
-        half_starts, half_ends, half_weights, cat_gids, name_gids,
-        cat_group_count, num_groups,
-    )
-
-    # Normalize by service time in bulk (elementwise IEEE division is
-    # identical to the reference's scalar divisions); tolist() yields
-    # native Python floats so output rows carry the same value types
-    # as the reference path.
-    dur_arr = np.asarray(durations, dtype=np.float64)
-    cat_cdi = integral_arr[:cat_group_count].reshape(vm_count, 3)
-    cat_cdi = cat_cdi / dur_arr[:, None] if vm_count else cat_cdi
-    vm_rows = [
-        {
-            "vm": vm,
-            "unavailability": unavailability,
-            "performance": performance,
-            "control_plane": control_plane,
-            "service_time": duration,
-        }
-        for vm, unavailability, performance, control_plane, duration in zip(
-            vm_list, cat_cdi[:, 0].tolist(), cat_cdi[:, 1].tolist(),
-            cat_cdi[:, 2].tolist(), durations,
-        )
-    ]
-
-    if name_groups:
-        group_vms = np.fromiter(
-            (group[0] for group in name_groups),
-            dtype=np.int64, count=len(name_groups),
-        )
-        name_cdi = (integral_arr[cat_group_count:] / dur_arr[group_vms]).tolist()
-    else:
-        name_cdi = []
-    event_rows = [
-        {
-            "vm": vm_list[vm_index],
-            "event": name,
-            "cdi": cdi_value,
-            "service_time": durations[vm_index],
-        }
-        for (vm_index, name), cdi_value in zip(name_groups, name_cdi)
-    ]
-    return FleetTables(vm_rows=vm_rows, event_rows=event_rows)
-
-
-def damage_integrals_by_group(
-    intervals: Iterable[tuple[int, float, float, float]],
-    period_by_group: Mapping[int, ServicePeriod],
-    num_groups: int,
-) -> np.ndarray:
-    """Convenience wrapper: clip ``(group, start, end, weight)`` tuples
-    against per-group service periods, then run the kernel.
-
-    Mainly used by tests and ad-hoc callers that already have flat
-    tuples instead of :class:`~repro.core.periods.EventPeriod` objects.
-    """
-    gids: list[int] = []
-    starts: list[float] = []
-    ends: list[float] = []
-    weights: list[float] = []
-    for group, start, end, weight in intervals:
-        service = period_by_group[group]
-        clipped_start = start if start > service.start else service.start
-        clipped_end = end if end < service.end else service.end
-        if clipped_end > clipped_start and weight > 0.0:
-            gids.append(group)
-            starts.append(clipped_start)
-            ends.append(clipped_end)
-            weights.append(weight)
-    return grouped_damage_integrals(
-        np.asarray(starts), np.asarray(ends), np.asarray(weights),
-        np.asarray(gids, dtype=np.int64), num_groups,
-    )

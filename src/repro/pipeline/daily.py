@@ -6,26 +6,28 @@ reports and per-(VM, event) drill-down CDIs on the mini dataset
 engine, and writes the two output tables back — the exact dataflow of
 Fig. 4.
 
-Two compute paths produce identical tables:
+There is one production compute path: the events table is scanned as
+typed column blocks, each engine partition resolves its batch to
+weighted intervals with array gathers, and every damage integral of
+the whole fleet — all VMs × categories *and* all (VM, event-name)
+drill-down groups — comes out of one vectorized kernel sweep
+(:func:`repro.core.fastpath.fleet_cdi_columns_columnar`).
 
-* the **fast path** (default) resolves event periods per VM on the
-  engine, then computes every damage integral of the whole fleet —
-  all VMs × categories *and* all (VM, event-name) drill-down groups —
-  in one vectorized kernel sweep
-  (:func:`repro.core.fastpath.fleet_cdi_tables`);
-* the **reference path** runs Algorithm 1 per VM per category with
-  the pure-Python sweep, then once more per event name — the paper's
-  pseudocode executed literally, kept as the correctness oracle.
+``DailyCdiJob(..., use_fastpath=False)`` selects the **reference
+oracle** instead: Algorithm 1 per VM per category with the pure-Python
+sweep, then once more per event name — the paper's pseudocode executed
+literally, kept so tests and the benchmark's oracles have something
+independent to compare against.
 
 Output rows are written sorted (by VM, then event name) so reruns,
-backends, and compute paths all produce byte-identical tables.
+backends, and both paths produce byte-identical tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -34,8 +36,8 @@ from repro.core.fastpath import (
     FlatInterval,
     ResolverIndex,
     WeightTable,
+    flat_interval_arrays,
     fleet_cdi_columns_columnar,
-    fleet_cdi_tables_flat,
 )
 from repro.core.indicator import CdiCalculator, CdiReport, ServicePeriod
 from repro.core.periods import resolve_periods
@@ -94,6 +96,23 @@ def event_to_row(event: Event) -> dict[str, Any]:
 _SEVERITY_BY_VALUE = {int(level): level for level in Severity}
 
 
+def row_severity(row: Mapping[str, Any]) -> Severity:
+    """The row's :class:`Severity`; an unknown level is a ``ValueError``.
+
+    The one statement of the unknown-severity policy: the reference
+    oracle and the stateful pairing reach it through
+    :func:`row_to_event`, streaming through ``IncrementalCdiState.apply``,
+    and the columnar resolve stage calls it on the first bad row its
+    vectorized check finds.
+    """
+    level = _SEVERITY_BY_VALUE.get(int(row["level"]))
+    if level is None:
+        raise ValueError(
+            f"unknown severity level {row['level']} on event {row['name']!r}"
+        )
+    return level
+
+
 def row_to_event(row: Mapping[str, Any]) -> Event:
     """Deserialize an events-table row."""
     duration = row.get("duration")
@@ -101,7 +120,7 @@ def row_to_event(row: Mapping[str, Any]) -> Event:
     return Event(
         name=row["name"], time=float(row["time"]), target=row["target"],
         expire_interval=float(row["expire_interval"]),
-        level=_SEVERITY_BY_VALUE[int(row["level"])], attributes=attributes,
+        level=row_severity(row), attributes=attributes,
     )
 
 
@@ -115,57 +134,6 @@ class DailyJobResult:
     fleet_report: CdiReport
 
 
-@dataclass(frozen=True)
-class _ResolveIntervalsStage:
-    """Engine stage: ``(vm, [event rows]) → (vm, [flat intervals])``.
-
-    The fast path's period resolution, fused: stateless rows (the vast
-    majority) go straight from table row to weight-resolved interval
-    tuple via the precomputed :class:`ResolverIndex` — no ``Event`` or
-    ``EventPeriod`` objects — while stateful detail rows fall back to
-    the reference pairing in :func:`~repro.core.periods.
-    resolve_periods`.  Module-level and built from picklable parts so
-    the stage runs on the process backend too.
-    """
-
-    catalog: EventCatalog
-    weight_table: WeightTable
-    index: ResolverIndex
-    horizon: float
-
-    def __call__(
-        self, part: Iterator[tuple[str, list[Mapping[str, Any]]]]
-    ) -> Iterable[tuple[str, list[FlatInterval]]]:
-        stateless = self.index.stateless
-        stateful_names = self.index.stateful_names
-        out: list[tuple[str, list[FlatInterval]]] = []
-        for vm, vm_rows in part:
-            flat: list[FlatInterval] = []
-            stateful_rows: list[Mapping[str, Any]] | None = None
-            for row in vm_rows:
-                name = row["name"]
-                info = stateless.get(name)
-                if info is not None:
-                    interval = resolve_stateless_row(row, info)
-                    if interval is not None:
-                        flat.append(interval)
-                elif name in stateful_names:
-                    if stateful_rows is None:
-                        stateful_rows = []
-                    stateful_rows.append(row)
-            if stateful_rows is not None:
-                flat.extend(self._resolve_stateful(stateful_rows))
-            out.append((vm, flat))
-        return out
-
-    def _resolve_stateful(
-        self, rows: list[Mapping[str, Any]]
-    ) -> list[FlatInterval]:
-        return resolve_stateful_rows(
-            rows, self.catalog, self.weight_table, self.horizon
-        )
-
-
 def resolve_stateless_row(
     row: Mapping[str, Any],
     info: tuple[float, Mapping[int, tuple[float, int]]],
@@ -177,14 +145,14 @@ def resolve_stateless_row(
     when the ``(name, level)`` pair has no weight entry (the reference
     calculator's skip), applies the catalog window when the row carries
     no explicit duration, and raises ``ValueError`` on a negative
-    explicit duration.  The single definition of stateless resolution,
-    shared by the batch fast path (:class:`_ResolveIntervalsStage`) and
-    the streaming incremental state
-    (:mod:`repro.streaming.state`) — byte-identity between the two
-    holds by construction, not by parallel reimplementation.
+    explicit duration or an unknown severity level.  The per-record
+    form of :class:`_ResolveColumnsStage`'s stateless resolution, used
+    by the streaming incremental state (:mod:`repro.streaming.state`),
+    which sees one row at a time.
     """
     entry = info[1].get(row["level"])
     if entry is None:
+        row_severity(row)
         return None
     duration = row["duration"]
     if duration is None:
@@ -203,11 +171,10 @@ def resolve_stateful_rows(
 ) -> list[FlatInterval]:
     """Reference start/end pairing + weight lookup for stateful rows.
 
-    Shared by the row-wise and columnar fast paths — and by the
-    streaming incremental state, which re-pairs a VM's accumulated
-    ``*_add``/``*_del`` rows through this exact function whenever a new
-    one arrives: stateful detail events are rare, so every path hands
-    them to the same reference resolution in
+    Shared by the daily job and the streaming incremental state, which
+    re-pairs a VM's accumulated ``*_add``/``*_del`` rows through this
+    exact function whenever a new one arrives: stateful detail events
+    are rare, so both hand them to the same reference resolution in
     :func:`~repro.core.periods.resolve_periods`.
     """
     events = [row_to_event(row) for row in rows]
@@ -247,13 +214,16 @@ class _ResolvedBatch:
 class _ResolveColumnsStage:
     """Engine stage: ``ColumnBatch → _ResolvedBatch`` (no row dicts).
 
-    The columnar fast path's period resolution: event names and targets
-    are factorized with ``np.unique`` once per batch, weight/category/
+    The daily job's period resolution: event names and targets are
+    factorized with ``np.unique`` once per batch, weight/category/
     window lookups become small per-unique-name tables, and the whole
     batch is resolved with array gathers — the hot loop touches no
-    Python object per event.  Stateless semantics (including the
-    negative-duration error and the skip of unknown weights/levels) are
-    bit-identical to :class:`_ResolveIntervalsStage`; stateful rows are
+    Python object per event.  Stateless semantics are those of
+    :func:`resolve_stateless_row` (the skip of a ``(name, level)`` pair
+    without a weight entry; ``ValueError`` on a negative explicit
+    duration), and an in-service row of any catalogued name whose level
+    is not a :class:`~repro.core.events.Severity` raises the
+    ``ValueError`` of :func:`row_severity`; stateful rows are
     reconstructed as dicts and deferred to the driver.
     """
 
@@ -316,14 +286,20 @@ class _ResolveColumnsStage:
                 kind[j] = 2
 
         kinds_all = kind[inv_n]
-        level_ok = (levels >= 0) & (levels < num_levels)
+        # Severity values are the contiguous 1-based ranks of Formula 1.
+        level_ok = (levels >= 1) & (levels < num_levels)
+        if not level_ok.all():
+            unknown = in_service & (kinds_all != 0) & ~level_ok
+            if unknown.any():
+                bad = int(np.argmax(unknown))
+                row_severity({"level": int(levels[bad]),
+                              "name": names_tuple[inv_n[bad]]})
         safe_levels = np.where(level_ok, levels, 0)
         sel = in_service & (kinds_all == 1) & level_ok
         sel &= has_entry[inv_n, safe_levels]
 
-        # The row path raises on a negative *explicit* duration for any
-        # stateless in-service event whose (name, level) has a weight
-        # entry — reproduce that before building intervals.
+        # A negative *explicit* duration is an error on any stateless
+        # in-service event whose (name, level) has a weight entry.
         explicit = sel & ~dur_null & (dur_vals < 0)
         if explicit.any():
             bad = int(np.argmax(explicit))
@@ -430,25 +406,21 @@ class DailyCdiJob:
     catalog:
         Event catalog (name → category/kind/window).
     use_fastpath:
-        Default compute path for :meth:`run`.  ``True`` (default) uses
-        the vectorized fleet kernel; ``False`` the per-VM reference
-        sweep.  Either way the output tables are identical.
-    use_columnar:
-        When the fast path is active, read the events table through the
-        columnar scan (``True``, default) instead of materializing row
-        dicts.  Output tables are byte-identical either way.
+        ``True`` (default) is the production path: columnar scan and
+        the vectorized fleet kernel.  ``False`` makes this job the
+        Algorithm-1 oracle — the per-VM reference sweep, for tests and
+        benchmark oracles to compare against.  The output tables are
+        byte-identical either way.
     """
 
     def __init__(self, context: EngineContext, tables: TableStore,
                  config_db: ConfigDB, catalog: EventCatalog, *,
-                 use_fastpath: bool = True,
-                 use_columnar: bool = True) -> None:
+                 use_fastpath: bool = True) -> None:
         self._context = context
         self._tables = tables
         self._config_db = config_db
         self._catalog = catalog
-        self._use_fastpath = use_fastpath
-        self._use_columnar = use_columnar
+        self._path = "columnar" if use_fastpath else "reference"
         # (config version → resolved weight table + resolver index);
         # weight resolution is computed once per configuration, not
         # once per run (let alone once per period).
@@ -518,35 +490,25 @@ class DailyCdiJob:
     # -- the job -------------------------------------------------------------
 
     def run(self, partition: str, services: Mapping[str, ServicePeriod], *,
-            use_fastpath: bool | None = None,
-            use_columnar: bool | None = None,
             trace: RunTrace | None = None) -> DailyJobResult:
         """Compute and write the two output tables for one day.
 
         ``services`` maps each VM in service to its service period; VMs
         without any events still contribute zero-CDI rows (their
         service time dilutes the fleet aggregate, Formula 4).
-        ``use_fastpath`` / ``use_columnar`` override the job defaults
-        for this run.  ``trace`` attaches a
+        ``trace`` attaches a
         :class:`~repro.engine.trace.RunTrace` flight recorder for the
         duration of the run: pipeline-stage spans here, node spans and
         attempt records from the engine underneath.
         """
         horizon = max((s.end for s in services.values()), default=0.0)
-        fast = self._use_fastpath if use_fastpath is None else use_fastpath
-        columnar = (
-            self._use_columnar if use_columnar is None else use_columnar
-        )
-        path = ("columnar" if fast and columnar
-                else "fastpath" if fast else "reference")
-        with trace_span(trace, f"daily[{partition}]", "pipeline", path=path), \
+        with trace_span(trace, f"daily[{partition}]", "pipeline",
+                        path=self._path), \
                 executor_tracing(self._context.executor, trace):
             with trace_span(trace, "compute", "stage",
                             vms=len(services)):
                 vm_columns, event_columns, event_count = (
-                    self._compute_columns(
-                        partition, services, horizon, fast, columnar
-                    )
+                    self._compute_columns(partition, services, horizon)
                 )
             with trace_span(trace, "write_outputs", "stage"):
                 return self._write_outputs(
@@ -556,7 +518,6 @@ class DailyCdiJob:
     def run_checkpointed(
         self, partition: str, services: Mapping[str, ServicePeriod], *,
         checkpoint: JobCheckpoint, shards: int = 8, resume: bool = True,
-        use_fastpath: bool | None = None, use_columnar: bool | None = None,
         sharded_events: bool = False, trace: RunTrace | None = None,
     ) -> DailyJobResult:
         """Fault-tolerant :meth:`run`: compute in VM shards, checkpoint
@@ -583,23 +544,16 @@ class DailyCdiJob:
         and off-shard events were dropped by the service filter anyway.
         """
         horizon = max((s.end for s in services.values()), default=0.0)
-        fast = self._use_fastpath if use_fastpath is None else use_fastpath
-        columnar = (
-            self._use_columnar if use_columnar is None else use_columnar
-        )
         fingerprint = self.checkpoint_fingerprint(
             partition, services, shards=shards,
-            use_fastpath=fast, use_columnar=columnar,
             sharded_events=sharded_events,
         )
         done = checkpoint.ensure(fingerprint, partition, resume=resume)
         vm_list = sorted(services)
         shard_vms = split_shards(vm_list, shards)
         units = shard_units(len(shard_vms))
-        path = ("columnar" if fast and columnar
-                else "fastpath" if fast else "reference")
         with trace_span(trace, f"daily_checkpointed[{partition}]",
-                        "pipeline", path=path, shards=len(shard_vms),
+                        "pipeline", path=self._path, shards=len(shard_vms),
                         resumed=len(done)), \
                 executor_tracing(self._context.executor, trace):
             for unit, vms in zip(units, shard_vms):
@@ -613,8 +567,7 @@ class DailyCdiJob:
                         if sharded_events else partition
                     )
                     vm_cols, event_cols, count = self._compute_columns(
-                        events_partition, shard_services, horizon, fast,
-                        columnar,
+                        events_partition, shard_services, horizon
                     )
                     checkpoint.record_shard(unit, vm_cols, event_cols, count)
             with trace_span(trace, "merge_write", "stage"):
@@ -628,8 +581,7 @@ class DailyCdiJob:
 
     def checkpoint_fingerprint(
         self, partition: str, services: Mapping[str, ServicePeriod], *,
-        shards: int, use_fastpath: bool | None = None,
-        use_columnar: bool | None = None, sharded_events: bool = False,
+        shards: int, sharded_events: bool = False,
     ) -> str:
         """Fingerprint of one checkpointed run's inputs.
 
@@ -638,12 +590,7 @@ class DailyCdiJob:
         count, compute path, and event-partition layout) before
         resuming from it.
         """
-        fast = self._use_fastpath if use_fastpath is None else use_fastpath
-        columnar = (
-            self._use_columnar if use_columnar is None else use_columnar
-        )
-        path = ("columnar" if fast and columnar
-                else "fastpath" if fast else "reference")
+        path = self._path
         if sharded_events:
             path += "+sharded-events"
         version = self._config_db.get(WEIGHTS_CONFIG_KEY).version
@@ -668,96 +615,32 @@ class DailyCdiJob:
 
     def _compute_columns(
         self, partition: str, services: Mapping[str, ServicePeriod],
-        horizon: float, fast: bool, columnar: bool,
+        horizon: float,
     ) -> tuple[dict[str, list], dict[str, list], int]:
         """One compute pass over ``services``, as output column lists.
 
         The single entry point behind :meth:`run` and each checkpoint
-        shard; all three compute paths produce identical values, and
-        the row-producing paths are converted column-major here so the
+        shard; the oracle's rows are converted column-major so the
         write side is uniform.
         """
-        if fast and columnar:
-            # Column blocks in, column blocks out: the outputs are
-            # written through the vectorized columnar validation, never
-            # materializing row dicts (values and order are identical
-            # to the row paths below).
+        if self._path == "columnar":
             return self._run_columnar(partition, services, horizon)
-        if fast:
-            rows = self._tables.get(EVENTS_TABLE).rows(
-                partition=partition, copy=False
-            )
-            # Every VM in service goes through the kernel (eventless VMs
-            # contribute zero records and come back as zero rows), in
-            # sorted order — so vm_rows needs no fill pass and no sort,
-            # and event_rows arrives pre-grouped by VM.
-            grouped: dict[str, list[dict[str, Any]]] = {
-                vm: [] for vm in sorted(services)
-            }
-            event_count = 0
-            for row in rows:
-                bucket = grouped.get(row["target"])
-                if bucket is not None:
-                    event_count += 1
-                    bucket.append(row)
-            vm_rows, event_rows = self._run_fastpath(
-                grouped, services, horizon
-            )
-        else:
-            rows = self._tables.get(EVENTS_TABLE).rows(
-                partition=partition, copy=False
-            )
-            weights = self.load_weights()
-            events = [row_to_event(row) for row in rows]
-            in_service = [e for e in events if e.target in services]
-            event_count = len(in_service)
-            vm_rows, event_rows = self._run_reference(
-                in_service, services, weights, horizon
-            )
-            seen = {row["vm"] for row in vm_rows}
-            for vm, service in services.items():
-                if vm not in seen:
-                    vm_rows.append({
-                        "vm": vm, "unavailability": 0.0, "performance": 0.0,
-                        "control_plane": 0.0, "service_time": service.duration,
-                    })
-            vm_rows.sort(key=_vm_row_key)
-        event_rows.sort(key=_event_row_key)
-        return (
-            _rows_to_columns(vm_rows, vm_cdi_schema().names),
-            _rows_to_columns(event_rows, event_cdi_schema().names),
-            event_count,
-        )
-
-    def _run_fastpath(
-        self, grouped: Mapping[str, list[dict[str, Any]]],
-        services: Mapping[str, ServicePeriod], horizon: float,
-    ) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
-        """Distributed fused resolution + one fleet kernel sweep."""
-        weight_table, index = self._resolved_weights()
-        stage = _ResolveIntervalsStage(
-            self._catalog, weight_table, index, horizon
-        )
-        resolved = (
-            self._context.parallelize(list(grouped.items()), name="events")
-            .map_partitions(stage, name="resolve_intervals")
-            .collect()
-        )
-        tables = fleet_cdi_tables_flat(resolved, services)
-        return tables.vm_rows, tables.event_rows
+        return self._run_reference(partition, services, horizon)
 
     def _run_columnar(
         self, partition: str, services: Mapping[str, ServicePeriod],
         horizon: float,
     ) -> tuple[dict[str, list], dict[str, list], int]:
-        """Columnar fast path: column-batch scan → vectorized kernel.
+        """Column-batch scan → vectorized resolve → one kernel sweep.
 
         The events table is scanned as typed column blocks (no row
         dicts), each engine partition resolves its batch with array
         gathers, and the per-batch name tables are merged into one
         global table before the fleet kernel sweep.  Stateful detail
         rows (rare) fall back to the reference pairing per VM.  Returns
-        the two output tables as column value lists in canonical order.
+        the two output tables as column value lists in canonical order,
+        written through the vectorized columnar validation without ever
+        materializing row dicts.
         """
         weight_table, index = self._resolved_weights()
         vm_list = sorted(services)
@@ -772,82 +655,36 @@ class DailyCdiJob:
             .collect()
         )
 
+        # name → global name id, in first-seen order.
         name_of: dict[str, int] = {}
-        names_list: list[str] = []
-        vm_parts: list[np.ndarray] = []
-        nid_parts: list[np.ndarray] = []
-        w_parts: list[np.ndarray] = []
-        c_parts: list[np.ndarray] = []
-        s_parts: list[np.ndarray] = []
-        e_parts: list[np.ndarray] = []
+        parts: list[tuple[np.ndarray, ...]] = []
         stateful_by_vm: dict[str, list[dict[str, Any]]] = {}
         event_count = 0
         for bundle in resolved:
             event_count += bundle.event_count
             if len(bundle.name_ids):
                 # Remap batch-local name ids onto the global name table.
-                lut = np.empty(len(bundle.names), dtype=np.int64)
-                for j, name in enumerate(bundle.names):
-                    gid = name_of.get(name)
-                    if gid is None:
-                        gid = len(names_list)
-                        name_of[name] = gid
-                        names_list.append(name)
-                    lut[j] = gid
-                nid_parts.append(lut[bundle.name_ids])
-                vm_parts.append(bundle.vm_idx)
-                w_parts.append(bundle.weights)
-                c_parts.append(bundle.cats)
-                s_parts.append(bundle.starts)
-                e_parts.append(bundle.ends)
+                lut = np.array(
+                    [name_of.setdefault(name, len(name_of))
+                     for name in bundle.names], dtype=np.int64,
+                )
+                parts.append((bundle.vm_idx, lut[bundle.name_ids],
+                              bundle.weights, bundle.cats, bundle.starts,
+                              bundle.ends))
             for vm, row in bundle.stateful:
                 stateful_by_vm.setdefault(vm, []).append(row)
 
-        if stateful_by_vm:
-            st_vm: list[int] = []
-            st_nid: list[int] = []
-            st_w: list[float] = []
-            st_c: list[int] = []
-            st_s: list[float] = []
-            st_e: list[float] = []
-            for vm, vm_rows_ in stateful_by_vm.items():
-                flat = resolve_stateful_rows(
-                    vm_rows_, self._catalog, weight_table, horizon
-                )
-                vm_i = vm_of[vm]
-                for name, weight, category, start, end in flat:
-                    gid = name_of.get(name)
-                    if gid is None:
-                        gid = len(names_list)
-                        name_of[name] = gid
-                        names_list.append(name)
-                    st_vm.append(vm_i)
-                    st_nid.append(gid)
-                    st_w.append(weight)
-                    st_c.append(category)
-                    st_s.append(start)
-                    st_e.append(end)
-            vm_parts.append(np.array(st_vm, dtype=np.int64))
-            nid_parts.append(np.array(st_nid, dtype=np.int64))
-            w_parts.append(np.array(st_w, dtype=np.float64))
-            c_parts.append(np.array(st_c, dtype=np.int64))
-            s_parts.append(np.array(st_s, dtype=np.float64))
-            e_parts.append(np.array(st_e, dtype=np.float64))
-
-        if vm_parts:
-            vm_idx = np.concatenate(vm_parts)
-            name_ids = np.concatenate(nid_parts)
-            weights = np.concatenate(w_parts)
-            cats = np.concatenate(c_parts)
-            starts = np.concatenate(s_parts)
-            ends = np.concatenate(e_parts)
-        else:
-            vm_idx = np.empty(0, dtype=np.int64)
-            name_ids = np.empty(0, dtype=np.int64)
-            weights = np.empty(0, dtype=np.float64)
-            cats = np.empty(0, dtype=np.int64)
-            starts = np.empty(0, dtype=np.float64)
-            ends = np.empty(0, dtype=np.float64)
+        # Always appended (empty when the day has no stateful rows), so
+        # the concatenation below never sees an empty part list.
+        parts.append(flat_interval_arrays(
+            ((vm_of[vm], resolve_stateful_rows(
+                vm_rows, self._catalog, weight_table, horizon))
+             for vm, vm_rows in stateful_by_vm.items()),
+            name_of,
+        ))
+        vm_idx, name_ids, weights, cats, starts, ends = (
+            np.concatenate(column) for column in zip(*parts)
+        )
 
         svc_starts = np.array(
             [services[vm].start for vm in vm_list], dtype=np.float64
@@ -856,18 +693,31 @@ class DailyCdiJob:
             [services[vm].end for vm in vm_list], dtype=np.float64
         )
         columns = fleet_cdi_columns_columnar(
-            vm_list, svc_starts, svc_ends, vm_idx, name_ids, names_list,
+            vm_list, svc_starts, svc_ends, vm_idx, name_ids, list(name_of),
             weights, cats, starts, ends,
         )
         return columns.vm_columns, columns.event_columns, event_count
 
     def _run_reference(
-        self, in_service: list[Event],
-        services: Mapping[str, ServicePeriod],
-        weights: WeightConfig, horizon: float,
-    ) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
+        self, partition: str, services: Mapping[str, ServicePeriod],
+        horizon: float,
+    ) -> tuple[dict[str, list], dict[str, list], int]:
         """Algorithm 1 executed literally, per VM per category per name."""
-        calculator = CdiCalculator(self._catalog, weights)
+        rows = [
+            row for row in self._tables.get(EVENTS_TABLE).rows(
+                partition=partition, copy=False
+            )
+            if row["target"] in services
+        ]
+        # Uncatalogued names are dropped before conversion (period
+        # resolution would skip them anyway), so only a row that counts
+        # can raise on its fields.
+        logical_name = self._catalog.logical_name
+        in_service = [
+            row_to_event(row) for row in rows
+            if logical_name(row["name"]) is not None
+        ]
+        calculator = CdiCalculator(self._catalog, self.load_weights())
         grouped = (
             self._context.parallelize(in_service, name="events")
             .key_by(_event_target)
@@ -877,7 +727,20 @@ class DailyCdiJob:
         computed = grouped.map(stage).collect()
         vm_rows = [c["vm_row"] for c in computed]
         event_rows = [row for c in computed for row in c["event_rows"]]
-        return vm_rows, event_rows
+        seen = {row["vm"] for row in vm_rows}
+        for vm, service in services.items():
+            if vm not in seen:
+                vm_rows.append({
+                    "vm": vm, "unavailability": 0.0, "performance": 0.0,
+                    "control_plane": 0.0, "service_time": service.duration,
+                })
+        vm_rows.sort(key=_vm_row_key)
+        event_rows.sort(key=_event_row_key)
+        return (
+            _rows_to_columns(vm_rows, vm_cdi_schema().names),
+            _rows_to_columns(event_rows, event_cdi_schema().names),
+            len(rows),
+        )
 
 
 def _event_target(event: Event) -> str:
@@ -891,43 +754,37 @@ def _rows_to_columns(rows: list[dict[str, Any]],
     return {name: [row[name] for row in rows] for name in names}
 
 
+def _columns_to_rows(columns: Mapping[str, list],
+                     names: Sequence[str]) -> list[dict[str, Any]]:
+    """Column value lists → row dicts, preserving row order."""
+    return [dict(zip(names, values))
+            for values in zip(*(columns[name] for name in names))]
+
+
 #: Deterministic output orders (C-level key extraction for the sorts).
 _vm_row_key = itemgetter("vm")
 _event_row_key = itemgetter("vm", "event")
 
 
 def fleet_report_from_rows(rows: list[Mapping[str, Any]]) -> CdiReport:
-    """Formula 4 aggregation over vm_cdi rows.
+    """Formula 4 aggregation over vm_cdi rows, in row order.
 
-    One fused pass accumulating the three numerators and the shared
-    service-time denominator in row order — float-identical to calling
-    :func:`repro.core.indicator.aggregate` per category.
+    The rows are transposed and handed to
+    :func:`fleet_report_from_columns`, so there is one accumulator.
     """
-    num_u = num_p = num_c = total = 0.0
-    for r in rows:
-        service_time = r["service_time"]
-        if service_time < 0:
-            raise ValueError(f"negative service time {service_time}")
-        num_u += service_time * r["unavailability"]
-        num_p += service_time * r["performance"]
-        num_c += service_time * r["control_plane"]
-        total += service_time
-    if total == 0.0:
-        return CdiReport(unavailability=0.0, performance=0.0,
-                         control_plane=0.0, service_time=total)
-    return CdiReport(
-        unavailability=num_u / total,
-        performance=num_p / total,
-        control_plane=num_c / total,
-        service_time=total,
-    )
+    return fleet_report_from_columns(_rows_to_columns(rows, (
+        "service_time", "unavailability", "performance", "control_plane",
+    )))
 
 
 def fleet_report_from_columns(columns: Mapping[str, list]) -> CdiReport:
-    """Formula 4 over vm_cdi *columns* — same accumulation order and
-    scalar operations as :func:`fleet_report_from_rows`, so both paths
-    produce the identical report (not a numpy sum: pairwise summation
-    would round differently)."""
+    """Formula 4 over vm_cdi *columns*.
+
+    One fused pass accumulating the three numerators and the shared
+    service-time denominator in row order — float-identical to calling
+    :func:`repro.core.indicator.aggregate` per category (not a numpy
+    sum: pairwise summation would round differently).
+    """
     num_u = num_p = num_c = total = 0.0
     for service_time, u, p, c in zip(
         columns["service_time"], columns["unavailability"],

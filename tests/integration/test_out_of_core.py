@@ -2,8 +2,8 @@
 
 The fleet-scale ingestion path (events spilled to disk per VM-shard
 partition, computed shard by shard with ``sharded_events=True``) must
-be invisible in the outputs: every compute path produces tables
-byte-identical to a plain whole-day :meth:`DailyCdiJob.run`, and the
+be invisible in the outputs: both compute paths (columnar and the
+reference oracle) produce tables byte-identical to a plain whole-day :meth:`DailyCdiJob.run`, and the
 chunked v3 persistence of those outputs round-trips losslessly.
 """
 
@@ -32,7 +32,8 @@ PARTITION = "d0"
 SHARDS = 4
 VM_COUNT = 24
 
-ALL_PATHS = [(True, True), (True, False), (False, False)]
+#: ``use_fastpath`` per job: the columnar path and the reference oracle.
+ALL_PATHS = [True, False]
 
 
 def make_fleet_events(seed: int = 11) -> list[Event]:
@@ -44,10 +45,12 @@ def make_services() -> dict[str, ServicePeriod]:
     return shared_services(VM_COUNT)
 
 
-def make_job(store: TableStore | None = None) -> DailyCdiJob:
+def make_job(store: TableStore | None = None, *,
+             use_fastpath: bool = True) -> DailyCdiJob:
     job = DailyCdiJob(EngineContext(parallelism=2),
                       store if store is not None else TableStore(),
-                      ConfigDB(), default_catalog())
+                      ConfigDB(), default_catalog(),
+                      use_fastpath=use_fastpath)
     job.store_weights(expert_only_config())
     return job
 
@@ -80,15 +83,16 @@ def fleet():
 
 @pytest.fixture(scope="module")
 def plain_outputs(fleet):
-    """Whole-day, in-memory reference bytes per compute path."""
+    """Whole-day, in-memory reference bytes per compute path: one
+    ingested store, one job per path over it."""
     events, services = fleet
+    store = TableStore()
+    make_job(store).ingest_events(events, PARTITION)
     outputs = {}
-    for fast, columnar in ALL_PATHS:
-        job = make_job()
-        job.ingest_events(events, PARTITION)
-        job.run(PARTITION, services, use_fastpath=fast,
-                use_columnar=columnar)
-        outputs[(fast, columnar)] = output_bytes(job)
+    for fast in ALL_PATHS:
+        job = make_job(store, use_fastpath=fast)
+        job.run(PARTITION, services)
+        outputs[fast] = output_bytes(job)
     return outputs
 
 
@@ -104,13 +108,13 @@ class TestOutOfCoreDifferential:
     def test_plain_paths_agree(self, plain_outputs):
         assert len(set(plain_outputs.values())) == 1
 
-    @pytest.mark.parametrize("fast,columnar", ALL_PATHS)
+    @pytest.mark.parametrize("fast", ALL_PATHS,
+                             ids=["columnar", "reference"])
     def test_byte_identical_on_every_compute_path(self, tmp_path, fleet,
-                                                  plain_outputs, fast,
-                                                  columnar):
+                                                  plain_outputs, fast):
         events, services = fleet
         store, table = spill_store(tmp_path)
-        job = make_job(store)
+        job = make_job(store, use_fastpath=fast)
         ingest_sharded(job, events, services)
         spilled = sum(
             table._partitions[part].spilled_rows
@@ -121,9 +125,8 @@ class TestOutOfCoreDifferential:
             PARTITION, services,
             checkpoint=JobCheckpoint(tmp_path / "ck.json"),
             shards=SHARDS, sharded_events=True,
-            use_fastpath=fast, use_columnar=columnar,
         )
-        assert output_bytes(job) == plain_outputs[(fast, columnar)]
+        assert output_bytes(job) == plain_outputs[fast]
 
     def test_sharded_events_fingerprint_is_distinct(self, fleet):
         _, services = fleet

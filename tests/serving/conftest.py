@@ -3,7 +3,8 @@
 One deterministic dataset builder used everywhere: a topology-aware
 synthetic fleet (so group-by queries have real dimensions), per-day
 fault events from the baseline injector, and the daily CDI job backfilled
-over a few partitions.  Tests pick the compute path via the job flags.
+over a few partitions.  Tests pick the compute path via the job's
+``use_fastpath`` flag.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ SEED = 7
 DAYS = 3
 
 
-def build_dataset(*, use_fastpath: bool = True, use_columnar: bool = True,
+def build_dataset(*, use_fastpath: bool = True,
                   days: int = DAYS, seed: int = SEED):
     """A backfilled daily job plus its fleet, on one compute path."""
     catalog = default_catalog()
@@ -38,7 +39,7 @@ def build_dataset(*, use_fastpath: bool = True, use_columnar: bool = True,
     services = {vm: ServicePeriod(0.0, DAY) for vm in vm_ids}
     job = DailyCdiJob(EngineContext(parallelism=2), TableStore(),
                       ConfigDB(), catalog,
-                      use_fastpath=use_fastpath, use_columnar=use_columnar)
+                      use_fastpath=use_fastpath)
     job.store_weights(default_weights())
     run_days(job, events_factory(vm_ids, catalog, seed), services, days)
     return job, fleet, services

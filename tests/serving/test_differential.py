@@ -1,13 +1,13 @@
 """Differential suite: serving answers vs direct recompute, byte-identical.
 
-For each of the three compute paths of the daily job (reference rows,
-fastpath, columnar) this builds a QueryService over the job's output
+For both compute paths of the daily job (the reference oracle and the
+columnar path) this builds a QueryService over the job's output
 tables and checks every query kind against an *independent* oracle that
 rescans ``table.rows(partition)`` and recomputes with the reference
 primitives (:func:`fleet_report_from_rows`,
 :func:`repro.core.indicator.aggregate`, ``sorted``).  Answers are
 compared as ``json.dumps(..., sort_keys=True)`` strings — byte-identical,
-no tolerance — and additionally across the three paths themselves.
+no tolerance — and additionally across the two paths themselves.
 """
 
 import json
@@ -34,9 +34,8 @@ from repro.serving.rollups import CATEGORIES
 from tests.serving.conftest import DAYS, build_dataset
 
 PATHS = {
-    "reference": dict(use_fastpath=False, use_columnar=False),
-    "fastpath": dict(use_fastpath=True, use_columnar=False),
-    "columnar": dict(use_fastpath=True, use_columnar=True),
+    "reference": dict(use_fastpath=False),
+    "columnar": dict(use_fastpath=True),
 }
 
 
@@ -221,7 +220,7 @@ class TestDifferential:
 
 
 class TestCrossPath:
-    """The three compute paths answer every query identically."""
+    """Both compute paths answer every query identically."""
 
     @pytest.fixture(scope="class")
     def services(self):
@@ -240,9 +239,8 @@ class TestCrossPath:
         reference = services["reference"]
         for query in queries:
             expected = serve(reference, query)
-            for name in ("fastpath", "columnar"):
-                assert serve(services[name], query) == expected, \
-                    f"{name} diverges from reference on {query}"
+            assert serve(services["columnar"], query) == expected, \
+                f"columnar diverges from reference on {query}"
 
 
 class TestReportParity:

@@ -27,8 +27,9 @@ from repro.streaming import (
 
 PARTITION = "stream-day"
 
-#: The three compute paths every differential assertion covers.
-ALL_PATHS = [(True, True), (True, False), (False, False)]
+#: ``use_fastpath`` of the two batch jobs every differential assertion
+#: covers: the columnar production path and the reference oracle.
+ALL_PATHS = [True, False]
 
 
 class SimulatedKill(BaseException):
@@ -84,15 +85,14 @@ def published_bytes(tables: TableStore) -> bytes:
 
 
 def batch_bytes(events: list[Event], services, *,
-                use_fastpath: bool = True,
-                use_columnar: bool = True) -> bytes:
+                use_fastpath: bool = True) -> bytes:
     """The from-scratch batch oracle over ``events``, as bytes."""
     job = DailyCdiJob(EngineContext(parallelism=2), TableStore(),
-                      ConfigDB(), default_catalog())
+                      ConfigDB(), default_catalog(),
+                      use_fastpath=use_fastpath)
     job.store_weights(expert_only_config())
     job.ingest_events(events, PARTITION)
-    job.run(PARTITION, services, use_fastpath=use_fastpath,
-            use_columnar=use_columnar)
+    job.run(PARTITION, services)
     return published_bytes(job.tables)
 
 

@@ -5,26 +5,38 @@ scenarios — shuffled bounded-lag arrivals, duplicates, unknown names,
 null and boundary-straddling durations, orphan/open stateful pairs,
 arbitrary tick boundaries — through the streaming pipeline and
 demands the published tables equal a from-scratch batch recompute on
-every compute path.  Deterministic companions cover the cases the
+both batch paths (columnar and the reference oracle).  Deterministic companions cover the cases the
 bounded-lag precondition excludes (true beyond-watermark drops) and
 mid-stream resume.
 """
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.core.events import Event, Severity
+from repro.core.events import Event, Severity, default_catalog
+from repro.core.fastpath import ResolverIndex, WeightTable
+from repro.core.weights import expert_only_config
+from repro.engine.dataset import EngineContext
+from repro.pipeline.daily import WEIGHTS_CONFIG_KEY, DailyCdiJob, event_to_row
 from repro.storage.logstore import LogStore
 from repro.storage.table import TableStore
-from repro.streaming import StreamCheckpoint
+from repro.streaming import IncrementalCdiState, StreamCheckpoint
 
-from tests.strategies import make_fleet_events, make_services, stream_cases
+from tests.strategies import (
+    DAY,
+    make_fleet_events,
+    make_services,
+    stream_cases,
+)
 from tests.streaming.conftest import (
     ALL_PATHS,
+    PARTITION,
+    make_config_db,
     append_events,
     batch_bytes,
     bounded_lag_arrival,
@@ -57,10 +69,9 @@ class TestStreamBatchEquivalence:
         assert pipeline.state.applied == len(case.arrival)
         streamed = published_bytes(tables)
         oracle = case.oracle_events()
-        for use_fastpath, use_columnar in ALL_PATHS:
+        for use_fastpath in ALL_PATHS:
             assert streamed == batch_bytes(
-                oracle, services, use_fastpath=use_fastpath,
-                use_columnar=use_columnar,
+                oracle, services, use_fastpath=use_fastpath
             )
 
     @given(case=stream_cases(max_ticks=3))
@@ -78,9 +89,73 @@ class TestStreamBatchEquivalence:
         assert published_bytes(coarse) == published_bytes(fine)
 
 
+class TestBatchedRefresh:
+    """One refresh sweeping many dirty VMs at once ≡ many small
+    refreshes ≡ the columnar batch job — over a day that has stateful
+    add/del pairs, clipped-out and zero-weight intervals, and
+    eventless VMs."""
+
+    VMS = 24
+
+    def weights(self):
+        """The expert weight table with one entry forced to weight 0
+        (no weight configuration produces one; the kernel's filter
+        still has to treat it like the batch job does)."""
+        catalog = default_catalog()
+        table = WeightTable.from_config(catalog, expert_only_config())
+        entries = dict(table.entries)
+        _, category = entries[("slow_io", Severity.INFO)]
+        entries[("slow_io", Severity.INFO)] = (0.0, category)
+        table = WeightTable(entries)
+        return catalog, table, ResolverIndex.build(catalog, table)
+
+    def day_rows(self, seed):
+        events = make_fleet_events(seed, vm_count=self.VMS, events_per_vm=4)
+        events += [
+            # Wholly after the service period: clips out, row stays.
+            Event(name="vm_down", time=2 * DAY, target="vm-001",
+                  expire_interval=600.0, level=Severity.FATAL,
+                  attributes={"duration": 60.0}),
+            Event(name="slow_io", time=5_000.0, target="vm-002",
+                  expire_interval=600.0, level=Severity.INFO,
+                  attributes={"duration": 900.0}),
+        ]
+        random.Random(seed).shuffle(events)
+        return events, [event_to_row(event) for event in events]
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_one_big_refresh_equals_small_ticks_and_batch(self, seed):
+        services = make_services(self.VMS + 4)  # 4 VMs never get an event
+        catalog, table, index = self.weights()
+        events, rows = self.day_rows(seed)
+
+        fine = IncrementalCdiState(services, catalog, table, index)
+        for start in range(0, len(rows), 3):
+            fine.apply_rows(rows[start:start + 3])
+            assert len(fine.refresh()) <= 3
+        coarse = IncrementalCdiState(services, catalog, table, index)
+        coarse.apply_rows(rows)
+        assert len(coarse.refresh()) > self.VMS // 2
+        assert coarse.snapshot_columns() == fine.snapshot_columns()
+
+        job = DailyCdiJob(EngineContext(parallelism=2), TableStore(),
+                          make_config_db(), catalog)
+        version = job._config_db.get(WEIGHTS_CONFIG_KEY).version
+        job._weight_cache = (version, table, index)
+        job.ingest_events(events, PARTITION)
+        job.run(PARTITION, services)
+        assert json.dumps(coarse.snapshot_rows(), sort_keys=True) == \
+            json.dumps(list(job.output_rows(PARTITION)), sort_keys=True)
+        # The clipped-out and the zero-weight occurrence still own a
+        # drill-down row each.
+        assert {("vm-001", "vm_down"), ("vm-002", "slow_io")} <= {
+            (row["vm"], row["event"]) for row in coarse.snapshot_rows()[1]
+        }
+
+
 class TestSeededFleetDays:
     """The shared seeded generator, streamed: bigger fleets than the
-    hypothesis cases, still byte-identical on every path."""
+    hypothesis cases, still byte-identical on both batch paths."""
 
     @pytest.mark.parametrize("seed", [0, 7, 23])
     def test_seeded_day_all_paths(self, seed):
@@ -94,10 +169,9 @@ class TestSeededFleetDays:
         assert pipeline.tailer.late_dropped == 0
         streamed = published_bytes(tables)
         oracle = oracle_order(arrival)
-        for use_fastpath, use_columnar in ALL_PATHS:
+        for use_fastpath in ALL_PATHS:
             assert streamed == batch_bytes(
-                oracle, services, use_fastpath=use_fastpath,
-                use_columnar=use_columnar,
+                oracle, services, use_fastpath=use_fastpath
             )
 
 

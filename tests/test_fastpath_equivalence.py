@@ -1,7 +1,6 @@
-"""Equivalence suite for the batched fleet-CDI fast path.
+"""Equivalence suite for the batched fleet-CDI kernel and the job on it.
 
-Three layers of guarantees, matching the acceptance criteria of the
-fast-path optimisation:
+Three layers of guarantees:
 
 * the grouped kernel (:func:`repro.core.fastpath.grouped_damage_integrals`)
   matches both reference implementations of Algorithm 1
@@ -10,8 +9,8 @@ fast-path optimisation:
   absolute on randomized interval sets — overlaps, duplicate
   timestamps, zero weights, out-of-period clipping, empty groups;
 * :class:`~repro.pipeline.daily.DailyCdiJob` produces byte-identical
-  ``vm_cdi`` / ``event_cdi`` tables on the fast path and the reference
-  path;
+  ``vm_cdi`` / ``event_cdi`` tables on the columnar path and the
+  reference oracle;
 * the thread and process executor backends return identical partitions
   for the same plan, and identical daily-job tables.
 """
@@ -26,9 +25,8 @@ from hypothesis import given, settings
 
 from repro.core.events import Event, Severity, default_catalog
 from repro.core.fastpath import (
+    ResolverIndex,
     WeightTable,
-    damage_integrals_by_group,
-    fleet_cdi_tables,
     grouped_damage_integrals,
 )
 from repro.core.indicator import (
@@ -38,14 +36,14 @@ from repro.core.indicator import (
     damage_integral_quantized,
     damage_integral_with,
 )
-from repro.core.periods import EventPeriod
 from repro.core.weights import expert_only_config
 from repro.engine.dataset import EngineContext
 from repro.engine.executor import TaskFailedError
 from repro.pipeline.daily import DailyCdiJob
-from repro.pipeline.tables import EVENT_CDI_TABLE, VM_CDI_TABLE
+from repro.pipeline.tables import EVENT_CDI_TABLE, EVENTS_TABLE, VM_CDI_TABLE
 from repro.storage.configdb import ConfigDB
 from repro.storage.table import TableStore
+from repro.streaming import IncrementalCdiState
 
 from tests.strategies import make_fleet_events, stream_cases
 
@@ -84,6 +82,24 @@ def random_group(rng: random.Random, pool: list[float], period: ServicePeriod,
     return intervals
 
 
+def clipped_group_integrals(intervals, period, num_groups):
+    """Clip ``(group, start, end, weight)`` tuples against ``period``
+    (dropping what :func:`damage_integral` drops: empty and zero-weight
+    intervals), then run the grouped kernel."""
+    kept = [
+        (group, max(start, period.start), min(end, period.end), weight)
+        for group, start, end, weight in intervals
+        if min(end, period.end) > max(start, period.start) and weight > 0.0
+    ]
+    gids, starts, ends, weights = (
+        (list(column) for column in zip(*kept)) if kept else ([], [], [], [])
+    )
+    return grouped_damage_integrals(
+        np.asarray(starts), np.asarray(ends), np.asarray(weights),
+        np.asarray(gids, dtype=np.int64), num_groups,
+    )
+
+
 class TestKernelEquivalence:
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_both_references_on_random_fleets(self, seed):
@@ -99,9 +115,7 @@ class TestKernelEquivalence:
             for iv in intervals
         ]
         rng.shuffle(flat)  # kernel must not rely on input order
-        result = damage_integrals_by_group(
-            flat, {gid: period for gid in range(num_groups)}, num_groups
-        )
+        result = clipped_group_integrals(flat, period, num_groups)
 
         assert result.shape == (num_groups,)
         for gid, intervals in enumerate(groups):
@@ -122,9 +136,8 @@ class TestKernelEquivalence:
                              rng.random())
             for _ in range(30)
         ]
-        result = damage_integrals_by_group(
-            [(0, iv.start, iv.end, iv.weight) for iv in intervals],
-            {0: period}, 1,
+        result = clipped_group_integrals(
+            [(0, iv.start, iv.end, iv.weight) for iv in intervals], period, 1
         )
         assert math.isclose(
             result[0], damage_integral(intervals, period), abs_tol=1e-9
@@ -139,18 +152,16 @@ class TestKernelEquivalence:
 
     def test_empty_groups_get_zero(self):
         period = ServicePeriod(0.0, 100.0)
-        result = damage_integrals_by_group(
-            [(2, 10.0, 20.0, 0.5)], {gid: period for gid in range(5)}, 5
-        )
+        result = clipped_group_integrals([(2, 10.0, 20.0, 0.5)], period, 5)
         assert result.tolist() == [0.0, 0.0, 0.5 * 10.0, 0.0, 0.0]
 
     def test_groups_do_not_leak_into_each_other(self):
         """Same timestamps in two groups: unions must stay per-group."""
         period = ServicePeriod(0.0, 100.0)
-        result = damage_integrals_by_group(
+        result = clipped_group_integrals(
             [(0, 0.0, 50.0, 0.4), (1, 0.0, 50.0, 0.8),
              (0, 25.0, 75.0, 0.4)],
-            {0: period, 1: period}, 2,
+            period, 2,
         )
         assert result[0] == pytest.approx(0.4 * 75.0)
         assert result[1] == pytest.approx(0.8 * 50.0)
@@ -163,9 +174,8 @@ class TestKernelEquivalence:
             WeightedInterval(2.0, 5.0, 0.7),  # identical span, higher weight
             WeightedInterval(5.0, 8.0, 0.2),  # shares a boundary
         ]
-        result = damage_integrals_by_group(
-            [(0, iv.start, iv.end, iv.weight) for iv in intervals],
-            {0: period}, 1,
+        result = clipped_group_integrals(
+            [(0, iv.start, iv.end, iv.weight) for iv in intervals], period, 1
         )
         assert result[0] == pytest.approx(damage_integral(intervals, period))
         assert result[0] == pytest.approx(0.7 * 3 + 0.2 * 3)
@@ -242,7 +252,7 @@ class TestOverlapSemanticsSweep:
         )
 
 
-class TestFleetTables:
+class TestWeightResolution:
     def test_weight_table_matches_config_resolution(self):
         catalog = default_catalog()
         config = expert_only_config()
@@ -256,25 +266,24 @@ class TestFleetTables:
         assert table.lookup("no_such_event", Severity.WARNING) is None
 
     def test_unknown_event_names_are_skipped(self):
-        catalog = default_catalog()
-        table = WeightTable.from_config(catalog, expert_only_config())
-        periods = [
-            EventPeriod("vm_down", "vm-a", 0.0, 600.0, Severity.FATAL),
-            EventPeriod("not_in_catalog", "vm-a", 0.0, 600.0,
-                        Severity.FATAL),
+        events = [
+            Event(name=name, time=600.0, target="vm-a", expire_interval=600.0,
+                  level=Severity.FATAL, attributes={"duration": 600.0})
+            for name in ("vm_down", "not_in_catalog")
         ]
-        tables = fleet_cdi_tables(
-            [("vm-a", periods)], {"vm-a": ServicePeriod(0.0, DAY)}, table
-        )
-        assert [r["event"] for r in tables.event_rows] == ["vm_down"]
-        assert tables.vm_rows[0]["unavailability"] > 0.0
+        for use_fastpath in (True, False):
+            vm_rows, event_rows = run_job(
+                events, {"vm-a": ServicePeriod(0.0, DAY)},
+                use_fastpath=use_fastpath,
+            )
+            assert [r["event"] for r in event_rows] == ["vm_down"]
+            assert vm_rows[0]["unavailability"] > 0.0
 
 
-def run_job(events, services, *, backend="thread", use_fastpath=True,
-            use_columnar=True):
+def run_job(events, services, *, backend="thread", use_fastpath=True):
     context = EngineContext(parallelism=4, backend=backend)
     job = DailyCdiJob(context, TableStore(), ConfigDB(), default_catalog(),
-                      use_fastpath=use_fastpath, use_columnar=use_columnar)
+                      use_fastpath=use_fastpath)
     job.store_weights(expert_only_config())
     job.ingest_events(events, "d")
     job.run("d", services)
@@ -285,18 +294,13 @@ def run_job(events, services, *, backend="thread", use_fastpath=True,
 
 
 class TestDailyJobEquivalence:
-    @pytest.mark.parametrize("use_columnar", [True, False],
-                             ids=["columnar", "rows"])
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_fast_path_tables_byte_identical_to_reference(
-        self, seed, use_columnar
-    ):
+    def test_fast_path_tables_byte_identical_to_reference(self, seed):
         rng = random.Random(seed)
         events = make_fleet_events(rng, vm_count=40, events_per_vm=4,
                                    null_durations=False, stateful=False)
         services = {f"vm-{i:03d}": ServicePeriod(0.0, DAY) for i in range(45)}
-        fast = run_job(events, services, use_fastpath=True,
-                       use_columnar=use_columnar)
+        fast = run_job(events, services, use_fastpath=True)
         reference = run_job(events, services, use_fastpath=False)
         # Byte-level identity, not approximate equality: same rows,
         # same order, same float bit patterns.
@@ -314,25 +318,15 @@ class TestDailyJobEquivalence:
 
 class TestColumnarPathEquivalence:
     """The columnar scan path (typed column blocks → array-native
-    resolution → :func:`fleet_cdi_tables_columnar`) must emit the same
-    bytes as both the row-dict fast path and the reference sweep."""
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_columnar_byte_identical_to_row_fast_path(self, seed):
-        rng = random.Random(100 + seed)
-        events = make_fleet_events(rng, vm_count=40, events_per_vm=4,
-                                   stateful=False)
-        services = {f"vm-{i:03d}": ServicePeriod(0.0, DAY) for i in range(45)}
-        columnar = run_job(events, services, use_columnar=True)
-        row_path = run_job(events, services, use_columnar=False)
-        assert json.dumps(columnar) == json.dumps(row_path)
+    resolution → :func:`fleet_cdi_columns_columnar`) must emit the same
+    bytes as the reference sweep."""
 
     @pytest.mark.parametrize("seed", [1, 4])
     def test_columnar_with_stateful_events_matches_reference(self, seed):
         rng = random.Random(200 + seed)
         events = make_fleet_events(rng, vm_count=40, events_per_vm=4)
         services = {f"vm-{i:03d}": ServicePeriod(0.0, DAY) for i in range(45)}
-        columnar = run_job(events, services, use_columnar=True)
+        columnar = run_job(events, services)
         reference = run_job(events, services, use_fastpath=False)
         assert json.dumps(columnar) == json.dumps(reference)
 
@@ -345,9 +339,9 @@ class TestColumnarPathEquivalence:
         processed = run_job(events, services, backend="process")
         assert json.dumps(threaded) == json.dumps(processed)
 
-    @pytest.mark.parametrize("use_columnar", [True, False],
-                             ids=["columnar", "rows"])
-    def test_negative_duration_rejected(self, use_columnar):
+    @pytest.mark.parametrize("use_fastpath", [True, False],
+                             ids=["columnar", "reference"])
+    def test_negative_duration_rejected(self, use_fastpath):
         services = {"vm-0": ServicePeriod(0.0, DAY)}
         bad = [Event(name="vm_down", time=100.0, target="vm-0",
                      expire_interval=600.0, level=Severity.FATAL,
@@ -355,14 +349,56 @@ class TestColumnarPathEquivalence:
         # Stage errors surface as the engine's retry-exhausted failure;
         # both paths raise the same ValueError underneath.
         with pytest.raises(TaskFailedError) as exc_info:
-            run_job(bad, services, use_columnar=use_columnar)
+            run_job(bad, services, use_fastpath=use_fastpath)
         cause = exc_info.value.__cause__
         assert isinstance(cause, ValueError)
         assert "negative duration -5.0 on event 'vm_down'" in str(cause)
 
+    @pytest.mark.parametrize("name", ["vm_down", "ddos_blackhole_add"],
+                             ids=["stateless", "stateful"])
+    @pytest.mark.parametrize("path", ["columnar", "reference", "streaming"])
+    def test_unknown_severity_level_rejected(self, path, name):
+        """A level that is no ``Severity`` on an in-service row of a
+        catalogued name is one typed error everywhere — never a silent
+        skip, never a bare ``KeyError``; out of service it is ignored."""
+        services = {"vm-0": ServicePeriod(0.0, DAY)}
+        row = {"name": name, "time": 100.0, "target": "vm-0", "level": 9,
+               "expire_interval": 600.0, "duration": None}
+        elsewhere = dict(row, target="vm-not-in-service")
+        catalog = default_catalog()
+        if path == "streaming":
+            weight_table = WeightTable.from_config(catalog,
+                                                   expert_only_config())
+            state = IncrementalCdiState(
+                services, catalog, weight_table,
+                ResolverIndex.build(catalog, weight_table),
+            )
+            assert state.apply(elsewhere) is False
+
+            def run():
+                state.apply(row)
+        else:
+            job = DailyCdiJob(EngineContext(parallelism=2), TableStore(),
+                              ConfigDB(), catalog,
+                              use_fastpath=path == "columnar")
+            job.store_weights(expert_only_config())
+            job.tables.get(EVENTS_TABLE).append([elsewhere], "d")
+            assert job.run("d", services).event_count == 0
+
+            def run():
+                job.tables.get(EVENTS_TABLE).append([row], "d")
+                job.run("d", services)
+        with pytest.raises((ValueError, TaskFailedError)) as exc_info:
+            run()
+        error = exc_info.value
+        if isinstance(error, TaskFailedError):  # raised inside a stage
+            error = error.__cause__
+        assert isinstance(error, ValueError)
+        assert str(error) == f"unknown severity level 9 on event {name!r}"
+
     def test_columnar_empty_partition(self):
         services = {"vm-0": ServicePeriod(0.0, DAY)}
-        vm_rows, event_rows = run_job([], services, use_columnar=True)
+        vm_rows, event_rows = run_job([], services)
         assert event_rows == []
         assert vm_rows == [{
             "vm": "vm-0", "unavailability": 0.0, "performance": 0.0,
@@ -396,18 +432,16 @@ class TestBackendPartitionEquality:
 class TestHypothesisEquivalence:
     """Property form of the suite: hypothesis-generated adversarial
     fleet days (unknown names, null and boundary-straddling durations,
-    orphan/open stateful pairs, duplicates) through all three compute
-    paths must agree byte-for-byte."""
+    orphan/open stateful pairs, duplicates) through both compute paths
+    must agree byte-for-byte."""
 
     @given(case=stream_cases(max_vms=4, max_events=20, max_ticks=1))
     @settings(max_examples=15, deadline=None)
-    def test_three_paths_byte_identical(self, case):
+    def test_both_paths_byte_identical(self, case):
         services = case.services()
         events = case.oracle_events()
-        outputs = [
-            json.dumps(run_job(events, services, use_fastpath=fast,
-                               use_columnar=columnar))
-            for fast, columnar in [(True, True), (True, False),
-                                   (False, False)]
-        ]
-        assert outputs[0] == outputs[1] == outputs[2]
+        columnar, reference = (
+            json.dumps(run_job(events, services, use_fastpath=fast))
+            for fast in (True, False)
+        )
+        assert columnar == reference
