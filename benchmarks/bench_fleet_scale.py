@@ -26,8 +26,8 @@ re-invoked as a script prints one JSON point on stdout); the pytest
 orchestrator collects the points into ``BENCH_fleet_scale.json``.
 
 Environment knobs: ``REPRO_BENCH_FLEET_VM_COUNTS`` overrides the
-scale points (CI smoke runs ``10000`` alone), ``REPRO_BENCH_BACKEND``
-the executor backend, ``REPRO_CHAOS_SEED`` the fault seed, and
+scale points (CI smoke runs ``10000`` alone),
+``REPRO_CHAOS_SEED`` the fault seed, and
 ``REPRO_BENCH_FLEET_RESULT_PATH`` redirects the JSON artifact.
 """
 
@@ -42,7 +42,6 @@ from pathlib import Path
 
 from conftest import (
     REPO_ROOT,
-    bench_backend,
     bench_result_path,
     bench_vm_counts,
     chaos_seed,
@@ -96,8 +95,7 @@ def run_scale_point(vm_count):
         store = TableStore()
         store.add(SpillTable(EVENTS_TABLE, events_schema(),
                              spool_dir=tmp_path, spill_bytes=SPILL_BYTES))
-        context = EngineContext(parallelism=PARALLELISM,
-                                backend=bench_backend())
+        context = EngineContext(parallelism=PARALLELISM)
         job = DailyCdiJob(context, store, ConfigDB(), catalog)
         job.store_weights(default_weights())
 
@@ -193,7 +191,6 @@ def test_fleet_scale(benchmark):
 
     RESULT_PATH.write_text(json.dumps({
         "benchmark": "fleet_scale",
-        "backend": bench_backend(),
         "parallelism": PARALLELISM,
         "shards": SHARDS,
         "spill_bytes": SPILL_BYTES,

@@ -11,14 +11,10 @@ Besides the printed table, the benchmark writes a machine-readable
 ``BENCH_pipeline_scale.json`` next to the repo root so the perf
 trajectory is tracked across PRs: end-to-end wall time (best of
 :data:`TIMED_REPEATS`), core-compute task seconds, task counts, the
-executor backend, the speedup against the recorded pre-fast-path
-seed baseline, and per-stage wall timings from a completeness-
+speedup against the recorded pre-fast-path seed baseline, and per-stage wall timings from a completeness-
 validated run trace (the Spark-UI analogue).
 
-Environment knobs: ``REPRO_BENCH_BACKEND`` selects the executor
-backend (``thread``/``process``; threads are the default and the
-right choice here — the fast path's hot loop is a numpy kernel);
-``REPRO_BENCH_VM_COUNT`` overrides the fleet size (CI smoke runs a
+Environment knobs: ``REPRO_BENCH_VM_COUNT`` overrides the fleet size (CI smoke runs a
 smaller fleet); ``REPRO_BENCH_RESULT_PATH`` redirects the JSON
 artifact.
 """
@@ -27,7 +23,6 @@ import json
 import time
 
 from conftest import (
-    bench_backend,
     bench_result_path,
     bench_vm_count,
     print_table,
@@ -81,11 +76,8 @@ def build_job_inputs():
     return events, services
 
 
-def run_daily_job(events, services, backend=None, trace=None):
-    context = EngineContext(
-        parallelism=PARALLELISM,
-        backend=backend or bench_backend(),
-    )
+def run_daily_job(events, services, trace=None):
+    context = EngineContext(parallelism=PARALLELISM)
     job = DailyCdiJob(context, TableStore(), ConfigDB(), default_catalog())
     job.store_weights(default_weights())
     job.ingest_events(events, "bench")
@@ -102,14 +94,14 @@ def _best_of(repeats, fn, *args, **kwargs):
     return min(walls)
 
 
-def time_compute_path(events, services, backend):
+def time_compute_path(events, services):
     """Compute-only timings on one pre-ingested job.
 
     Times only :meth:`DailyCdiJob.run` (the daily compute), not job
     construction or ingestion, plus the raw columnar table scan
     underneath.
     """
-    context = EngineContext(parallelism=PARALLELISM, backend=backend)
+    context = EngineContext(parallelism=PARALLELISM)
     job = DailyCdiJob(context, TableStore(), ConfigDB(), default_catalog())
     job.store_weights(default_weights())
     job.ingest_events(events, "bench")
@@ -127,7 +119,6 @@ def time_compute_path(events, services, backend):
 
 
 def test_sec5_pipeline_scale(benchmark):
-    backend = bench_backend()
     events, services = build_job_inputs()
     result, metrics = run_once(benchmark, run_daily_job, events, services)
     core_seconds = metrics.total_seconds
@@ -141,7 +132,7 @@ def test_sec5_pipeline_scale(benchmark):
         walls.append(time.perf_counter() - started)
     wall_seconds = min(walls)
 
-    paths = time_compute_path(events, services, backend)
+    paths = time_compute_path(events, services)
 
     # One traced run for the per-stage breakdown (the analogue of
     # reading the production job's Spark UI): pipeline + node stage
@@ -162,7 +153,7 @@ def test_sec5_pipeline_scale(benchmark):
             ("input events", "~10 GB/day", f"{result.event_count} events"),
             ("VMs", "tens of millions", f"{result.vm_count}"),
             ("executors", "100 x 8 cores",
-             f"1 x {PARALLELISM} {backend}s"),
+             f"1 x {PARALLELISM} threads"),
             ("core CDI task time", "~500 s",
              f"{core_seconds:.2f} s across {metrics.task_count} tasks"),
             ("end-to-end wall", "~2 h",
@@ -184,7 +175,6 @@ def test_sec5_pipeline_scale(benchmark):
         "benchmark": "sec5_pipeline_scale",
         "vm_count": result.vm_count,
         "event_count": result.event_count,
-        "backend": backend,
         "parallelism": PARALLELISM,
         "timed_repeats": TIMED_REPEATS,
         "wall_seconds": wall_seconds,

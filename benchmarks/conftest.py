@@ -14,7 +14,6 @@ one place, so CI and local runs configure them identically:
 * ``REPRO_BENCH_FLEET_VM_COUNTS`` — comma-separated scaling-curve
   points (:func:`bench_vm_counts`);
 * ``REPRO_BENCH_DAYS`` — backfill length (:func:`bench_days`);
-* ``REPRO_BENCH_BACKEND`` — executor backend (:func:`bench_backend`);
 * ``REPRO_BENCH_RESULT_PATH`` / ``REPRO_BENCH_SERVING_RESULT_PATH`` /
   ... — JSON artifact destinations (:func:`bench_result_path`);
 * ``REPRO_BENCH_CLIENTS`` — concurrent closed-loop clients for the
@@ -69,11 +68,6 @@ def bench_clients(default: int) -> int:
 def bench_duration_s(default: float) -> float:
     """Seconds per load-measurement phase (``REPRO_BENCH_DURATION_S``)."""
     return float(os.environ.get("REPRO_BENCH_DURATION_S", str(default)))
-
-
-def bench_backend(default: str = "thread") -> str:
-    """Executor backend (``REPRO_BENCH_BACKEND``)."""
-    return os.environ.get("REPRO_BENCH_BACKEND", default)
 
 
 def bench_result_path(filename: str,

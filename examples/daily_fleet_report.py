@@ -61,16 +61,17 @@ def main() -> None:
           f"{len(bundle.metrics)} samples / {len(bundle.logs)} log lines")
 
     # Run the daily job (events table + weights -> two output tables).
-    job = DailyCdiJob(EngineContext(parallelism=4), TableStore(),
-                      ConfigDB(), default_catalog())
+    context = EngineContext(parallelism=4)
+    job = DailyCdiJob(context, TableStore(), ConfigDB(), default_catalog())
     job.store_weights(default_weights())
     job.ingest_events(events, "today")
     services = {vm: ServicePeriod(0.0, DAY) for vm in vm_ids}
     result = job.run("today", services)
-    metrics = job._context.last_job_metrics if hasattr(job, "_context") else None
-    del metrics
+    metrics = context.last_job_metrics
+    print(f"engine: {metrics.task_count} tasks, "
+          f"{metrics.retry_attempts} retried attempts")
 
-    rows = job._tables.get(VM_CDI_TABLE).rows("today")
+    rows = job.tables.get(VM_CDI_TABLE).rows("today")
 
     # BI roll-ups: global -> region -> AZ.
     fleet_report = global_report(rows)

@@ -195,7 +195,7 @@ def cmd_table5(seed: int) -> None:
 
 
 def cmd_daily(seed: int, *, days: int = 1, vms: int = 64,
-              backend: str = "thread", max_retries: int = 2,
+              max_retries: int = 2,
               checkpoint_dir: str | None = None, resume: bool = True,
               shards: int = 8, chaos_seed: int | None = None,
               trace_dir: str | None = None) -> None:
@@ -239,7 +239,7 @@ def cmd_daily(seed: int, *, days: int = 1, vms: int = 64,
     if chaos_seed is not None:
         chaos = ChaosInjector.storm(seed=chaos_seed)
     context = EngineContext(
-        parallelism=4, backend=backend,
+        parallelism=4,
         retry_policy=spark_like_policy(max_retries, seed=seed),
         chaos=chaos,
     )
@@ -259,8 +259,7 @@ def cmd_daily(seed: int, *, days: int = 1, vms: int = 64,
         for result in backfill.job_results
     ]
     _print_table(
-        f"Daily CDI job ({backend} backend"
-        + (", chaos on" if chaos else "") + ")",
+        "Daily CDI job" + (" (chaos on)" if chaos else ""),
         ["day", "VMs", "events", "CDI-U", "CDI-P", "CDI-C"], rows,
     )
     metrics = context.executor.last_job_metrics
@@ -574,8 +573,7 @@ def cmd_stream(seed: int, *, vms: int = 32, ticks: int = 6,
     return 0 if streamed == batch else 1
 
 
-def cmd_control(seed: int, *, days: int = 21, backend: str = "thread",
-                scenario: str = "seeded",
+def cmd_control(seed: int, *, days: int = 21, scenario: str = "seeded",
                 json_out: str | None = None) -> int:
     """Closed-loop controller: detect, localize, act, evaluate."""
     from pathlib import Path
@@ -591,7 +589,7 @@ def cmd_control(seed: int, *, days: int = 21, backend: str = "thread",
     builders = {"seeded": seeded_scenario, "quiet": quiet_scenario}
     spec = builders[scenario](seed, days=days)
     controller = ClosedLoopController(
-        spec, context=EngineContext(parallelism=2, backend=backend)
+        spec, context=EngineContext(parallelism=2)
     )
     card = controller.run()
     if spec.incidents:
@@ -635,14 +633,13 @@ def cmd_control(seed: int, *, days: int = 21, backend: str = "thread",
     return 0
 
 
-def cmd_faceoff(seed: int, *, backend: str = "thread",
-                json_out: str | None = None) -> int:
+def cmd_faceoff(seed: int, *, json_out: str | None = None) -> int:
     """AIR-vs-CDI head-to-head over the outage scenario family."""
     from pathlib import Path
 
     from repro.scenarios.faceoff import faceoff_json, run_faceoff
 
-    result = run_faceoff(seed, backend=backend)
+    result = run_faceoff(seed)
     _print_table(
         "KPI faceoff: AIR vs CDI over the outage family "
         f"(seed {seed}, ratio vs {result['flag_ratio']}x baseline)",
@@ -754,9 +751,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default 1; 21 for control)")
     daily.add_argument("--vms", type=int, default=64,
                        help="synthetic fleet size (default 64)")
-    daily.add_argument("--backend", choices=["thread", "process"],
-                       default="thread",
-                       help="executor backend (default thread)")
     daily.add_argument("--max-retries", type=int, default=2,
                        help="per-task retry budget (default 2)")
     daily.add_argument("--checkpoint-dir", default=None,
@@ -852,14 +846,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
     if args.command == "control":
         return cmd_control(args.seed, days=args.days or 21,
-                           backend=args.backend, scenario=args.scenario,
-                           json_out=args.json_out)
+                           scenario=args.scenario, json_out=args.json_out)
     if args.command == "faceoff":
-        return cmd_faceoff(args.seed, backend=args.backend,
-                           json_out=args.json_out)
+        return cmd_faceoff(args.seed, json_out=args.json_out)
     if args.command == "daily":
         cmd_daily(
-            args.seed, days=args.days or 1, vms=args.vms, backend=args.backend,
+            args.seed, days=args.days or 1, vms=args.vms,
             max_retries=args.max_retries, checkpoint_dir=args.checkpoint_dir,
             resume=args.resume, shards=args.shards,
             chaos_seed=args.chaos_seed, trace_dir=args.trace_dir,

@@ -36,7 +36,7 @@ The run returns a :class:`~repro.control.scorecard.Scorecard` pinning
 detection latency, precision/recall against the injected ground
 truth, RCA localization accuracy, and realized CDI improvement per
 action.  Every quantity is a deterministic function of the scenario
-seed; reruns — on either executor backend — serialize byte-identically.
+seed; reruns serialize byte-identically.
 """
 
 from __future__ import annotations

@@ -12,11 +12,10 @@ truth (:class:`repro.telemetry.fleetgen.InjectedIncident`):
   action against its null arm and the realized CDI improvement
   (null-arm mean minus action-arm mean on the episode's sub-metric).
 
-Everything here is plain data: no timestamps, no backend identifiers,
-no environment fingerprints.  A scorecard serialized with
-:func:`scorecard_json` is therefore byte-identical across reruns and
-across executor backends — the property the determinism tests and the
-CI gate pin.
+Everything here is plain data: no timestamps, no environment
+fingerprints.  A scorecard serialized with :func:`scorecard_json` is
+therefore byte-identical across reruns — the property the determinism
+tests and the CI gate pin.
 """
 
 from __future__ import annotations
@@ -189,8 +188,7 @@ class Scorecard:
 def scorecard_json(scorecard: Scorecard) -> str:
     """Canonical serialization: sorted keys, stable float repr.
 
-    The byte-determinism contract (reruns and backends produce the
-    identical file) hangs on this being a pure function of the
+    The byte-determinism contract (reruns produce the identical file) hangs on this being a pure function of the
     scorecard's values.
     """
     return json.dumps(scorecard.to_dict(), indent=2, sort_keys=True) + "\n"

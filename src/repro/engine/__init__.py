@@ -1,14 +1,19 @@
-"""Miniature DAG-scheduled dataset engine (Apache Spark stand-in).
+"""Shard-map engine with Spark's task semantics (Apache Spark stand-in).
 
 The paper computes CDI daily with a Spark application over ~10 GB of
-events (Section V).  This package provides the equivalent substrate:
+events (Section V).  What the daily job needs of that substrate is one
+shape — a map over column batches — so this package provides exactly
+that, with the task-level behaviour a production cluster adds:
 
-* :class:`EngineContext` / :class:`Dataset` — lazy partitioned
-  collections with narrow (map/filter/flat_map) and wide
-  (group_by_key/reduce_by_key/join/distinct/sort) operations;
-* :class:`LocalExecutor` — thread-pool scheduling with task retries,
-  failure injection, and per-task metrics;
-* :mod:`repro.engine.plan` — the logical plan node DAG.
+* :class:`EngineContext` — ``map_shards(fn, shards, name=...)``: one
+  task per shard on a shared thread pool, results in shard order;
+* :class:`LocalExecutor` — the attempt loop behind it: task retries on
+  a fresh attempt with backoff (:class:`RetryPolicy`), straggler
+  timeouts, seeded fault injection (:class:`ChaosInjector`), and
+  per-task metrics;
+* :class:`RunTrace` — node spans and per-attempt records.
+
+There is no lineage DAG and no shuffle: the job has no wide operation.
 """
 
 from repro.engine.chaos import (
@@ -17,7 +22,7 @@ from repro.engine.chaos import (
     FaultRule,
     InjectedFault,
 )
-from repro.engine.dataset import Dataset, EngineContext
+from repro.engine.dataset import EngineContext
 from repro.engine.executor import (
     JobMetrics,
     LocalExecutor,
@@ -34,41 +39,24 @@ from repro.engine.trace import (
     executor_tracing,
     trace_span,
 )
-from repro.engine.plan import (
-    GatherNode,
-    NarrowNode,
-    PlanNode,
-    ShuffleNode,
-    SourceNode,
-    UnionNode,
-    stage_boundaries,
-)
 
 __all__ = [
     "ChaosInjector",
-    "Dataset",
     "DroppedResult",
     "EngineContext",
     "FaultRule",
-    "GatherNode",
     "InjectedFault",
     "JobMetrics",
     "LocalExecutor",
-    "NarrowNode",
-    "PlanNode",
     "RetryPolicy",
     "RunTrace",
-    "ShuffleNode",
-    "SourceNode",
     "Span",
     "TaskAttemptRecord",
     "TaskFailedError",
     "TaskFailure",
     "TaskMetrics",
     "TaskTimeoutError",
-    "UnionNode",
     "executor_tracing",
     "spark_like_policy",
-    "stage_boundaries",
     "trace_span",
 ]

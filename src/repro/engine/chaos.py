@@ -22,10 +22,9 @@ Four fault kinds cover the classic task failure modes:
 
 The injector is a frozen dataclass built from frozen
 :class:`FaultRule` values with no mutable or closure state, so it
-pickles cleanly and produces **identical decisions in every worker
-process**: each decision is a pure function of
-``(seed, rule, node_name, partition, attempt)`` via
-:func:`~repro.engine.plan.stable_hash`.
+produces **identical decisions in every run**: each decision is a pure
+function of ``(seed, rule, node_name, partition, attempt)`` via
+:func:`~repro.engine.retry.stable_uniform`.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import Iterable, Sequence
 
-from repro.engine.plan import stable_uniform
+from repro.engine.retry import stable_uniform
 
 #: Supported injected fault kinds.
 FAULT_KINDS = ("crash", "delay", "duplicate", "drop")
@@ -57,7 +56,7 @@ class FaultRule:
     kind:
         One of :data:`FAULT_KINDS`.
     node:
-        Plan-node name pattern (``fnmatch`` glob, e.g.
+        Node name pattern (``fnmatch`` glob, e.g.
         ``"resolve_*"``); ``None`` matches every node.
     partition:
         Partition index to target; ``None`` matches every partition.
@@ -68,7 +67,7 @@ class FaultRule:
     probability:
         Chance the rule fires on a matching attempt.  Decided
         deterministically from the injector seed, so the same seed
-        reproduces the same fault pattern in any backend.
+        reproduces the same fault pattern in every run.
     delay:
         Sleep length in seconds (``kind="delay"`` only).
     """
@@ -173,8 +172,8 @@ class ChaosInjector:
         """A mixed-fault storm: every kind fires with ``probability``.
 
         The workhorse of the differential chaos suite — one seed
-        reproduces one complete storm pattern across all stages of a
-        job, on either backend.
+        reproduces one complete storm pattern across every engine call
+        of a job.
         """
         rules = [
             FaultRule(

@@ -1,602 +1,83 @@
-"""User-facing dataset API of the miniature engine.
+"""Entry point of the shard-map engine.
 
-Mirrors the subset of the Spark RDD API the paper's daily CDI job
-needs: lazy transformations over partitioned collections, key/value
-wide operations, and materializing actions.
-
-Every transformation is expressed as a small module-level adapter
-object (``_MapFn``, ``_GroupValues``, ...) rather than an inline
-closure, so a plan is picklable end-to-end whenever the user-supplied
-functions are — the requirement for running on the
-:class:`~repro.engine.executor.LocalExecutor` process backend.
+The module is still called ``dataset`` although the lazy ``Dataset``
+API it once held is gone: ``from repro.engine.dataset import
+EngineContext`` is the import every caller (and the end-to-end
+benchmark, which a PR may not edit) already uses, and an alias module
+would be a second name for one thing.
 
 Example::
 
     ctx = EngineContext(parallelism=4)
-    events = ctx.parallelize(rows)
-    per_vm = (
-        events.key_by(lambda row: row["vm"])
-              .group_by_key()
-              .map_values(compute_report)
-              .collect()
-    )
+    bundles = ctx.map_shards(resolve, batches, name="resolve_columns")
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
+from typing import Any, Callable, Iterable
 
 from repro.engine.chaos import ChaosInjector
 from repro.engine.executor import JobMetrics, LocalExecutor
 from repro.engine.retry import RetryPolicy
 from repro.engine.trace import RunTrace
-from repro.engine.plan import (
-    GatherNode,
-    NarrowNode,
-    PlanNode,
-    ShuffleNode,
-    SourceNode,
-    UnionNode,
-)
-
-T = TypeVar("T")
-U = TypeVar("U")
-K = TypeVar("K", bound=Hashable)
-V = TypeVar("V")
-
-
-def _chunk(data: Sequence[Any], parts: int) -> list[list[Any]]:
-    """Split ``data`` into ``parts`` balanced contiguous chunks."""
-    if parts < 1:
-        raise ValueError(f"parts must be >= 1, got {parts}")
-    length = len(data)
-    chunks: list[list[Any]] = []
-    base, extra = divmod(length, parts)
-    cursor = 0
-    for index in range(parts):
-        size = base + (1 if index < extra else 0)
-        chunks.append(list(data[cursor:cursor + size]))
-        cursor += size
-    return chunks
-
-
-# -- picklable transformation adapters ---------------------------------------
-
-
-@dataclass(frozen=True)
-class _MapFn:
-    fn: Callable[[Any], Any]
-
-    def __call__(self, part: Iterator[Any]) -> Iterable[Any]:
-        fn = self.fn
-        return (fn(x) for x in part)
-
-
-@dataclass(frozen=True)
-class _FilterFn:
-    predicate: Callable[[Any], bool]
-
-    def __call__(self, part: Iterator[Any]) -> Iterable[Any]:
-        predicate = self.predicate
-        return (x for x in part if predicate(x))
-
-
-@dataclass(frozen=True)
-class _FlatMapFn:
-    fn: Callable[[Any], Iterable[Any]]
-
-    def __call__(self, part: Iterator[Any]) -> Iterable[Any]:
-        fn = self.fn
-        return itertools.chain.from_iterable(fn(x) for x in part)
-
-
-@dataclass(frozen=True)
-class _KeyByFn:
-    key_fn: Callable[[Any], Any]
-
-    def __call__(self, part: Iterator[Any]) -> Iterable[tuple[Any, Any]]:
-        key_fn = self.key_fn
-        return ((key_fn(x), x) for x in part)
-
-
-@dataclass(frozen=True)
-class _MapValuesFn:
-    fn: Callable[[Any], Any]
-
-    def __call__(self, part: Iterator[tuple[Any, Any]]
-                 ) -> Iterable[tuple[Any, Any]]:
-        fn = self.fn
-        return ((k, fn(v)) for k, v in part)
-
-
-class _GroupValues:
-    def __call__(self, part: Iterator[tuple[Any, Any]]
-                 ) -> Iterable[tuple[Any, list[Any]]]:
-        groups: dict[Any, list[Any]] = {}
-        for key, value in part:
-            groups.setdefault(key, []).append(value)
-        return groups.items()
-
-
-@dataclass(frozen=True)
-class _ReduceCombine:
-    fn: Callable[[Any, Any], Any]
-
-    def __call__(self, part: Iterator[tuple[Any, Any]]
-                 ) -> Iterable[tuple[Any, Any]]:
-        fn = self.fn
-        acc: dict[Any, Any] = {}
-        for key, value in part:
-            acc[key] = fn(acc[key], value) if key in acc else value
-        return acc.items()
-
-
-@dataclass(frozen=True)
-class _AggregateSeq:
-    zero: Any
-    seq_fn: Callable[[Any, Any], Any]
-
-    def __call__(self, part: Iterator[tuple[Any, Any]]
-                 ) -> Iterable[tuple[Any, Any]]:
-        seq_fn, zero = self.seq_fn, self.zero
-        acc: dict[Any, Any] = {}
-        for key, value in part:
-            acc[key] = seq_fn(acc.get(key, zero), value)
-        return acc.items()
-
-
-@dataclass(frozen=True)
-class _AggregateMerge:
-    comb_fn: Callable[[Any, Any], Any]
-
-    def __call__(self, part: Iterator[tuple[Any, Any]]
-                 ) -> Iterable[tuple[Any, Any]]:
-        comb_fn = self.comb_fn
-        acc: dict[Any, Any] = {}
-        for key, value in part:
-            acc[key] = comb_fn(acc[key], value) if key in acc else value
-        return acc.items()
-
-
-class _DistinctKey:
-    def __call__(self, part: Iterator[Any]) -> Iterable[tuple[Any, None]]:
-        return ((x, None) for x in part)
-
-
-class _DistinctValues:
-    def __call__(self, part: Iterator[tuple[Any, Any]]) -> Iterable[Any]:
-        return (k for k, _ in part)
-
-
-class _KeepFirst:
-    def __call__(self, a: Any, _: Any) -> Any:
-        return a
-
-
-@dataclass(frozen=True)
-class _JoinTag:
-    tag: int
-
-    def __call__(self, part: Iterator[tuple[Any, Any]]
-                 ) -> Iterable[tuple[Any, tuple[int, Any]]]:
-        tag = self.tag
-        return ((k, (tag, v)) for k, v in part)
-
-
-@dataclass(frozen=True)
-class _JoinMerge:
-    keep_unmatched_left: bool
-
-    def __call__(self, part: Iterator[tuple[Any, tuple[int, Any]]]
-                 ) -> Iterable[Any]:
-        lefts: dict[Any, list[Any]] = {}
-        rights: dict[Any, list[Any]] = {}
-        for key, (tag, value) in part:
-            (lefts if tag == 0 else rights).setdefault(key, []).append(value)
-        for key, left_values in lefts.items():
-            right_values = rights.get(key)
-            if right_values:
-                for lv in left_values:
-                    for rv in right_values:
-                        yield key, (lv, rv)
-            elif self.keep_unmatched_left:
-                for lv in left_values:
-                    yield key, (lv, None)
-
-
-@dataclass(frozen=True)
-class _SortGather:
-    key_fn: Callable[[Any], Any]
-    reverse: bool
-
-    def __call__(self, rows: list[Any]) -> Iterable[Any]:
-        return sorted(rows, key=self.key_fn, reverse=self.reverse)
-
-
-@dataclass(frozen=True)
-class _RepartitionKey:
-    num_partitions: int
-
-    def __call__(self, part: Iterator[Any]) -> Iterable[tuple[int, Any]]:
-        n = self.num_partitions
-        return ((i % n, x) for i, x in enumerate(part))
-
-
-class _RepartitionValues:
-    def __call__(self, part: Iterator[tuple[int, Any]]) -> Iterable[Any]:
-        return (x for _, x in part)
-
-
-@dataclass(frozen=True)
-class _Sampler:
-    fraction: float
-    seed: int
-
-    def __call__(self, index: int, part: Iterator[Any]) -> Iterable[Any]:
-        import numpy as np
-
-        rng = np.random.default_rng((self.seed, index))
-        fraction = self.fraction
-        return (x for x in part if rng.random() < fraction)
-
-
-@dataclass(frozen=True)
-class _Indexer:
-    offsets: tuple[int, ...]
-
-    def __call__(self, index: int, part: Iterator[Any]
-                 ) -> Iterable[tuple[Any, int]]:
-        offset = self.offsets[index]
-        return ((x, offset + i) for i, x in enumerate(part))
-
-
-class _CountPartition:
-    def __call__(self, part: Iterator[Any]) -> Iterable[int]:
-        return [sum(1 for _ in part)]
-
-
-@dataclass(frozen=True)
-class _TakeOrderedLocal:
-    n: int
-    key_fn: Callable[[Any], Any] | None
-
-    def __call__(self, part: Iterator[Any]) -> Iterable[Any]:
-        key = self.key_fn if self.key_fn is not None else _identity
-        return heapq.nsmallest(self.n, part, key=key)
-
-
-def _identity(x: Any) -> Any:
-    return x
 
 
 class EngineContext:
     """Entry point, analogous to a SparkContext.
 
-    ``parallelism`` is the default partition count for new datasets and
-    the worker-pool width of the bundled executor; ``backend``,
-    ``chunk_size``, ``retry_policy``, ``chaos``, and ``trace`` are
-    forwarded to :class:`LocalExecutor` (``backend="process"``
-    schedules CPU-bound stages on a process pool; ``retry_policy`` and
-    ``chaos`` configure fault-tolerant execution and deterministic
-    fault injection; ``trace`` attaches a
-    :class:`~repro.engine.trace.RunTrace` flight recorder).
+    ``parallelism`` is how many shards callers split their input into
+    and the worker-pool width of the bundled executor;
+    ``retry_policy``, ``chaos``, and ``trace`` configure that bundled
+    :class:`LocalExecutor` (fault-tolerant execution, deterministic
+    fault injection, and a :class:`~repro.engine.trace.RunTrace` flight
+    recorder) and therefore conflict with a ready-made ``executor``.
+
+    ``backend`` is a compatibility check, not a choice: the process
+    backend was removed, ``"thread"`` is the only value existing callers
+    pass, and anything else is rejected.
     """
 
     def __init__(self, parallelism: int = 4,
                  executor: LocalExecutor | None = None, *,
                  backend: str = "thread",
-                 chunk_size: int | None = None,
                  retry_policy: RetryPolicy | None = None,
                  chaos: ChaosInjector | None = None,
                  trace: RunTrace | None = None) -> None:
         if parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+        if backend != "thread":
+            raise ValueError(
+                f"backend={backend!r} was removed: the engine runs on one "
+                "shared thread pool (drop the argument)"
+            )
+        if executor is None:
+            executor = LocalExecutor(
+                max_workers=parallelism, retry_policy=retry_policy,
+                chaos=chaos, trace=trace,
+            )
+        else:
+            for keyword, value in (("retry_policy", retry_policy),
+                                   ("chaos", chaos), ("trace", trace)):
+                if value is not None:
+                    raise ValueError(
+                        f"{keyword}= would be ignored next to executor=; "
+                        "configure the LocalExecutor instead"
+                    )
         self.parallelism = parallelism
-        self.executor = executor or LocalExecutor(
-            max_workers=parallelism, backend=backend, chunk_size=chunk_size,
-            retry_policy=retry_policy, chaos=chaos, trace=trace,
-        )
+        self.executor = executor
 
-    def parallelize(self, data: Iterable[T],
-                    num_partitions: int | None = None,
-                    name: str = "source") -> "Dataset[T]":
-        """Create a dataset from an in-memory collection."""
-        rows = list(data)
-        parts = num_partitions or self.parallelism
-        return Dataset(self, SourceNode(_chunk(rows, parts), name=name))
-
-    def empty(self) -> "Dataset[Any]":
-        """A dataset with no rows."""
-        return self.parallelize([], num_partitions=1, name="empty")
-
-    def scan_columns(self, table: Any, partition: str | None = None,
-                     names: Sequence[str] | None = None, *,
-                     predicate: Any = None,
-                     num_partitions: int | None = None,
-                     name: str = "scan_columns") -> "Dataset[Any]":
-        """Column-batch scan source over a columnar table.
-
-        The columnar analogue of :meth:`parallelize`: ``table`` is any
-        object exposing ``column_batches(partition=..., names=...,
-        predicate=..., batches=...)`` (duck-typed so the engine stays
-        independent of the storage layer — in practice a
-        :class:`repro.storage.table.Table`).  Each engine partition
-        holds exactly one :class:`~repro.storage.columns.ColumnBatch`,
-        a zero-copy row-range of typed column arrays, so stages operate
-        on ``(vm_ids, name_ids, times, levels, ...)`` vectors instead
-        of row dicts.  Partition/column pruning and row predicates are
-        pushed down into the store.
-        """
-        parts = num_partitions or self.parallelism
-        batches = table.column_batches(
-            partition=partition, names=names, predicate=predicate,
-            batches=parts,
-        )
-        chunks: list[list[Any]] = [[batch] for batch in batches] or [[]]
-        return Dataset(self, SourceNode(chunks, name=name))
+    def map_shards(self, fn: Callable[[Any], Any], shards: Iterable[Any], *,
+                   name: str) -> list[Any]:
+        """``[fn(s) for s in shards]`` as retried, traced pool tasks
+        (see :meth:`LocalExecutor.map_shards`)."""
+        return self.executor.map_shards(fn, shards, name=name)
 
     @property
     def last_job_metrics(self) -> JobMetrics:
-        """Metrics of the most recent action on this context."""
+        """Metrics of the most recent ``map_shards`` call."""
         return self.executor.last_job_metrics
 
     @property
     def trace(self) -> RunTrace | None:
         """The run trace currently attached to the executor, if any."""
         return self.executor.trace
-
-
-class Dataset:
-    """A lazy, partitioned, immutable collection."""
-
-    def __init__(self, context: EngineContext, node: PlanNode) -> None:
-        self._context = context
-        self._node = node
-
-    # -- plan introspection -------------------------------------------------
-
-    @property
-    def num_partitions(self) -> int:
-        """Partition count of this dataset."""
-        return self._node.num_partitions
-
-    def explain(self) -> str:
-        """Human-readable plan listing (like Spark's ``explain``)."""
-        return self._node.explain()
-
-    # -- narrow transformations ---------------------------------------------
-
-    def map_partitions(self, fn: Callable[[Iterator[T]], Iterable[U]],
-                       name: str = "map_partitions") -> "Dataset[U]":
-        """Transform each partition's iterator as a whole."""
-        return Dataset(self._context, NarrowNode(self._node, fn, name))
-
-    def map_partitions_with_index(
-        self, fn: Callable[[int, Iterator[T]], Iterable[U]],
-        name: str = "map_partitions_with_index",
-    ) -> "Dataset[U]":
-        """Like :meth:`map_partitions` but ``fn(index, iterator)``."""
-        return Dataset(
-            self._context, NarrowNode(self._node, fn, name, indexed=True)
-        )
-
-    def map(self, fn: Callable[[T], U]) -> "Dataset[U]":
-        """Apply ``fn`` to every element."""
-        return self.map_partitions(_MapFn(fn), name="map")
-
-    def filter(self, predicate: Callable[[T], bool]) -> "Dataset[T]":
-        """Keep elements for which ``predicate`` is true."""
-        return self.map_partitions(_FilterFn(predicate), name="filter")
-
-    def flat_map(self, fn: Callable[[T], Iterable[U]]) -> "Dataset[U]":
-        """Apply ``fn`` and flatten the resulting iterables."""
-        return self.map_partitions(_FlatMapFn(fn), name="flat_map")
-
-    def key_by(self, key_fn: Callable[[T], K]) -> "Dataset[tuple[K, T]]":
-        """Pair every element with a key: ``x -> (key_fn(x), x)``."""
-        return self.map_partitions(_KeyByFn(key_fn), name="key_by")
-
-    def map_values(self, fn: Callable[[V], U]) -> "Dataset[tuple[K, U]]":
-        """Transform the value of each ``(key, value)`` pair."""
-        return self.map_partitions(_MapValuesFn(fn), name="map_values")
-
-    def union(self, other: "Dataset[T]") -> "Dataset[T]":
-        """Concatenate two datasets (no dedup, like Spark's union)."""
-        if other._context is not self._context:
-            raise ValueError("cannot union datasets from different contexts")
-        return Dataset(self._context, UnionNode((self._node, other._node)))
-
-    # -- wide transformations -----------------------------------------------
-
-    def partition_by_key(self, num_partitions: int | None = None,
-                         name: str = "shuffle") -> "Dataset[tuple[K, V]]":
-        """Hash-repartition ``(key, value)`` pairs by key."""
-        parts = num_partitions or self._context.parallelism
-        return Dataset(self._context, ShuffleNode(self._node, parts, name=name))
-
-    def group_by_key(self, num_partitions: int | None = None
-                     ) -> "Dataset[tuple[K, list[V]]]":
-        """Group values by key: ``(k, v)* -> (k, [v, ...])``."""
-        shuffled = self.partition_by_key(num_partitions, name="group_by_key")
-        return shuffled.map_partitions(_GroupValues(), name="group_values")
-
-    def reduce_by_key(self, fn: Callable[[V, V], V],
-                      num_partitions: int | None = None
-                      ) -> "Dataset[tuple[K, V]]":
-        """Combine values per key with an associative function.
-
-        Applies a map-side combine before the shuffle, like Spark.
-        """
-        pre = self.map_partitions(_ReduceCombine(fn), name="combine_local")
-        shuffled = pre.partition_by_key(num_partitions, name="reduce_by_key")
-        return shuffled.map_partitions(_ReduceCombine(fn), name="combine_merge")
-
-    def aggregate_by_key(self, zero: U, seq_fn: Callable[[U, V], U],
-                         comb_fn: Callable[[U, U], U],
-                         num_partitions: int | None = None
-                         ) -> "Dataset[tuple[K, U]]":
-        """Per-key aggregation with distinct element/partial combiners."""
-        pre = self.map_partitions(
-            _AggregateSeq(zero, seq_fn), name="aggregate_local"
-        )
-        shuffled = pre.partition_by_key(num_partitions, name="aggregate_by_key")
-        return shuffled.map_partitions(
-            _AggregateMerge(comb_fn), name="aggregate_merge"
-        )
-
-    def distinct(self, num_partitions: int | None = None) -> "Dataset[T]":
-        """Remove duplicate elements (elements must be hashable)."""
-        keyed = self.map_partitions(_DistinctKey(), name="distinct_key")
-        reduced = keyed.reduce_by_key(_KeepFirst(), num_partitions)
-        return reduced.map_partitions(_DistinctValues(), name="distinct_values")
-
-    def join(self, other: "Dataset[tuple[K, Any]]",
-             num_partitions: int | None = None
-             ) -> "Dataset[tuple[K, tuple[Any, Any]]]":
-        """Inner join of two key/value datasets on key."""
-        return self._cogroup_join(other, num_partitions, keep_unmatched_left=False)
-
-    def left_join(self, other: "Dataset[tuple[K, Any]]",
-                  num_partitions: int | None = None
-                  ) -> "Dataset[tuple[K, tuple[Any, Any | None]]]":
-        """Left outer join; unmatched left values pair with ``None``."""
-        return self._cogroup_join(other, num_partitions, keep_unmatched_left=True)
-
-    def _cogroup_join(self, other: "Dataset[tuple[K, Any]]",
-                      num_partitions: int | None,
-                      keep_unmatched_left: bool) -> "Dataset[Any]":
-        left = self.map_partitions(_JoinTag(0), name="join_tag_left")
-        right = other.map_partitions(_JoinTag(1), name="join_tag_right")
-        shuffled = left.union(right).partition_by_key(num_partitions, name="join")
-        return shuffled.map_partitions(
-            _JoinMerge(keep_unmatched_left), name="join_merge"
-        )
-
-    def sort_by(self, key_fn: Callable[[T], Any],
-                reverse: bool = False) -> "Dataset[T]":
-        """Globally sort (gathers to a single partition)."""
-        node = GatherNode(
-            self._node, _SortGather(key_fn, reverse), name="sort_by"
-        )
-        return Dataset(self._context, node)
-
-    def repartition(self, num_partitions: int) -> "Dataset[T]":
-        """Rebalance into ``num_partitions`` partitions."""
-        indexed = self.map_partitions(
-            _RepartitionKey(num_partitions), name="repartition_key"
-        )
-        shuffled = Dataset(
-            self._context,
-            ShuffleNode(indexed._node, num_partitions, name="repartition"),
-        )
-        return shuffled.map_partitions(
-            _RepartitionValues(), name="repartition_values"
-        )
-
-    def sample(self, fraction: float, seed: int = 0) -> "Dataset[T]":
-        """Bernoulli sample of roughly ``fraction`` of the elements.
-
-        Deterministic for a fixed seed and partitioning (each partition
-        uses an independent substream keyed by its index).
-        """
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-        return self.map_partitions_with_index(
-            _Sampler(fraction, seed), name="sample"
-        )
-
-    def zip_with_index(self) -> "Dataset[tuple[T, int]]":
-        """Pair each element with its global 0-based index.
-
-        Like Spark's ``zipWithIndex``, this triggers a job to count
-        per-partition sizes before building the indexed dataset.
-        """
-        sizes = self.map_partitions(
-            _CountPartition(), name="count_partitions"
-        ).collect()
-        offsets = [0]
-        for size in sizes[:-1]:
-            offsets.append(offsets[-1] + size)
-        return self.map_partitions_with_index(
-            _Indexer(tuple(offsets)), name="zip_with_index"
-        )
-
-    def persist(self) -> "Dataset[T]":
-        """Materialize now and return a dataset backed by the result.
-
-        The analogue of ``cache()`` + an action: downstream plans reuse
-        the computed partitions instead of recomputing the lineage.
-        """
-        partitions = self._context.executor.execute(self._node)
-        return Dataset(self._context, SourceNode(partitions, name="persisted"))
-
-    # -- actions --------------------------------------------------------------
-
-    def take_ordered(self, n: int,
-                     key_fn: Callable[[T], Any] | None = None) -> list[T]:
-        """The ``n`` smallest elements by ``key_fn`` (a cheap top-N).
-
-        Each partition pre-selects its local top-N before the global
-        merge, so only ``n * num_partitions`` elements are gathered.
-        """
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
-        key = key_fn if key_fn is not None else _identity
-        local = self.map_partitions(
-            _TakeOrderedLocal(n, key_fn), name="take_ordered_local"
-        )
-        return heapq.nsmallest(n, local.collect(), key=key)
-
-    def collect(self) -> list[T]:
-        """Materialize all elements in partition order."""
-        partitions = self._context.executor.execute(self._node)
-        return [x for partition in partitions for x in partition]
-
-    def count(self) -> int:
-        """Number of elements."""
-        return len(self.collect())
-
-    def take(self, n: int) -> list[T]:
-        """The first ``n`` elements in partition order."""
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
-        return self.collect()[:n]
-
-    def first(self) -> T:
-        """The first element; raises ``IndexError`` when empty."""
-        rows = self.take(1)
-        if not rows:
-            raise IndexError("first() on an empty dataset")
-        return rows[0]
-
-    def reduce(self, fn: Callable[[T, T], T]) -> T:
-        """Fold all elements with an associative function."""
-        rows = self.collect()
-        if not rows:
-            raise ValueError("reduce() on an empty dataset")
-        result = rows[0]
-        for row in rows[1:]:
-            result = fn(result, row)
-        return result
-
-    def to_dict(self) -> dict[Any, Any]:
-        """Materialize a key/value dataset as a dict (last key wins)."""
-        return dict(self.collect())
-
-    def count_by_key(self) -> dict[Any, int]:
-        """Count elements per key of a key/value dataset."""
-        counts = self.map_values(_One()).reduce_by_key(_Add())
-        return counts.to_dict()
-
-
-class _One:
-    def __call__(self, _: Any) -> int:
-        return 1
-
-
-class _Add:
-    def __call__(self, a: int, b: int) -> int:
-        return a + b

@@ -1,80 +1,50 @@
-"""Task execution for the miniature dataset engine.
+"""Task execution for the shard-map engine.
 
-The :class:`LocalExecutor` materializes a plan DAG on a worker pool,
-one task per partition, with:
+:meth:`LocalExecutor.map_shards` runs ``fn(shard)`` once per shard, one
+task each, on a process-wide shared thread pool and returns the
+results in shard order.  What it keeps of Spark is the *task*
+semantics the paper's production job relies on (Section V):
 
-* stage-at-a-time scheduling (shuffles fully materialize their input),
-* two backends: ``"thread"`` (default; shares the interpreter, right
-  for IO-ish stages and for closure-based test hooks) and
-  ``"process"`` (a ``ProcessPoolExecutor``, so CPU-bound pure-Python
-  stages actually scale with cores instead of serializing on the GIL),
-* **chunked task batching** on the process backend: tasks are shipped
-  to workers in chunks (one chunk per worker by default) so the
-  per-task IPC/pickling overhead is amortized across a whole batch,
-* **fault-tolerant task attempts** on both backends: a pluggable
+* **fault-tolerant task attempts**: a pluggable
   :class:`~repro.engine.retry.RetryPolicy` (bounded retries with
   deterministic exponential backoff and optional per-attempt
   timeouts) plus a seedable executor-level
   :class:`~repro.engine.chaos.ChaosInjector` that can crash, delay,
-  duplicate, or drop task attempts at named plan nodes,
-* per-node task metrics (rows in/out, cumulative busy time, attempts,
-  failed attempts) mirroring the kind of accounting the paper reports
-  for the production Spark job (Section V: "core CDI computation time
-  is around 500 seconds"),
+  duplicate, or drop task attempts, keyed by
+  ``(name, partition, attempt)``,
+* per-task metrics (cumulative busy time, attempts, failed attempts)
+  mirroring the kind of accounting the paper reports for the
+  production Spark job ("core CDI computation time is around 500
+  seconds"),
 * optional **run tracing**: attach a
-  :class:`~repro.engine.trace.RunTrace` and every stage becomes a
-  node span while every task attempt — retries, backoffs, timeouts,
-  chaos injections, speculative duplicates — becomes a
-  :class:`~repro.engine.trace.TaskAttemptRecord`; on the process
-  backend the records ride home with the task result tuples, so no
-  shared state crosses the worker boundary.
+  :class:`~repro.engine.trace.RunTrace` and every ``map_shards`` call
+  becomes a node span while every task attempt — retries, backoffs,
+  timeouts, chaos injections, speculative duplicates — becomes a
+  :class:`~repro.engine.trace.TaskAttemptRecord`.
 
-Both backends produce identical partition contents for deterministic
-task functions: tasks are collected in submission (partition) order
-and shuffles use a process-stable key hash
-(:func:`repro.engine.plan.stable_hash`).
-
-The process backend requires every task function to be picklable —
-module-level functions or instances of module-level classes.  The
-:mod:`repro.engine.dataset` API builds its transformations out of
-picklable adapter objects, so any dataset pipeline whose user
-functions are themselves picklable runs on either backend unchanged.
-Retry policies and chaos injectors are frozen dataclasses, so the
-whole fault-tolerance configuration ships to worker processes too;
-only the legacy ``failure_injector`` hook (an arbitrary closure)
-remains thread-only.
+There is no plan DAG and no shuffle: the daily job has no wide
+operation (grouping events by VM is an index into the sorted VM list),
+so a map over column batches is the whole of what it asks of an
+engine.  Task functions run in the caller's interpreter and may be
+arbitrary closures.
 """
 
 from __future__ import annotations
 
-import math
-import pickle
 import threading
 import time
 import traceback
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable
 
 from repro.engine.chaos import ChaosInjector, DroppedResult, InjectedFault
-from repro.engine.plan import (
-    GatherNode,
-    NarrowNode,
-    PlanNode,
-    ShuffleNode,
-    SourceNode,
-    UnionNode,
-    stable_hash,
-)
 from repro.engine.retry import RetryPolicy
-from repro.engine.trace import RunTrace, TaskAttemptRecord, stamp_job
+from repro.engine.trace import RunTrace, TaskAttemptRecord
 
 #: Hook signature: ``(node_name, partition_index, attempt)``; raise to
 #: make that task attempt fail.
 FailureInjector = Callable[[str, int, int], None]
-
-#: Supported executor backends.
-BACKENDS = ("thread", "process")
 
 
 class TaskTimeoutError(RuntimeError):
@@ -84,11 +54,10 @@ class TaskTimeoutError(RuntimeError):
 class TaskFailedError(RuntimeError):
     """A task exhausted its retries.
 
-    Carries structured context so failures survive the process
-    boundary: the offending plan-node name and partition, the attempt
-    count, and the original cause's type, message, and formatted
-    traceback (``__cause__`` itself cannot be pickled across worker
-    processes in general, so the traceback text is first-class).
+    Carries structured context: the ``map_shards`` node name and the
+    partition (shard index), the attempt count, and the original
+    cause's type, message, and formatted traceback; the live exception
+    is chained as ``__cause__``.
     """
 
     def __init__(self, message: str, *, node_name: str | None = None,
@@ -105,7 +74,7 @@ class TaskFailedError(RuntimeError):
         self.cause_traceback = cause_traceback
 
 
-# Thread pools are shared process-wide, like long-lived Spark
+# The thread pool is shared process-wide, like long-lived Spark
 # executors: spawning threads per job costs more than an entire small
 # job.  The pool only ever grows (to the largest max_workers any
 # executor asked for); a replaced pool is not shut down — its idle
@@ -141,7 +110,6 @@ class TaskMetrics:
 
     node_name: str
     partition: int
-    rows_out: int
     seconds: float
     attempts: int
 
@@ -164,31 +132,15 @@ class TaskFailure:
     fatal: bool = False
 
 
-@dataclass(slots=True)
-class _FinalError:
-    """Final-failure details of a retry-exhausted task.
-
-    The string fields are always portable; ``exception`` holds the
-    live original exception in-process (so the thread backend can
-    chain it as ``__cause__``) and is stripped before crossing a
-    process boundary, where arbitrary exceptions may not pickle.
-    """
-
-    type_name: str
-    message: str
-    traceback_text: str
-    exception: BaseException | None = None
-
-
 @dataclass
 class JobMetrics:
-    """Aggregated accounting for one ``execute`` call.
+    """Aggregated accounting for one ``map_shards`` call.
 
-    ``job`` is the executor-local sequence number of the ``execute``
-    call that produced these metrics; attempt records in a
+    ``job`` is the executor-local sequence number of the call that
+    produced these metrics; attempt records in a
     :class:`~repro.engine.trace.RunTrace` carry the same id, which is
-    how a trace spanning many engine actions (e.g. one per checkpoint
-    shard) keeps re-executions of identically named plan nodes apart.
+    how a trace spanning many engine calls (e.g. one per checkpoint
+    shard) keeps re-executions of identically named nodes apart.
     """
 
     tasks: list[TaskMetrics] = field(default_factory=list)
@@ -199,11 +151,6 @@ class JobMetrics:
     def task_count(self) -> int:
         """Total number of successful tasks."""
         return len(self.tasks)
-
-    @property
-    def total_rows(self) -> int:
-        """Total rows produced across all tasks."""
-        return sum(t.rows_out for t in self.tasks)
 
     @property
     def total_seconds(self) -> float:
@@ -234,62 +181,19 @@ class JobMetrics:
         })
 
     def by_node(self) -> dict[str, float]:
-        """Wall time aggregated per plan-node name."""
+        """Busy seconds aggregated per node name."""
         totals: dict[str, float] = {}
         for task in self.tasks:
             totals[task.node_name] = totals.get(task.node_name, 0.0) + task.seconds
         return totals
 
 
-@dataclass(frozen=True, slots=True)
-class _TaskSpec:
-    """One schedulable unit: run ``fn(*args)`` for a node partition."""
-
-    node_name: str
-    partition: int
-    fn: Callable[..., list[Any]]
-    args: tuple[Any, ...]
+# -- the per-task attempt loop -----------------------------------------------
 
 
-# -- module-level task bodies (picklable for the process backend) -----------
-
-
-def _narrow_task(fn: Callable[..., Any], indexed: bool, index: int,
-                 part: Sequence[Any]) -> list[Any]:
-    """Materialize one narrow-node partition."""
-    if indexed:
-        return list(fn(index, iter(part)))
-    return list(fn(iter(part)))
-
-
-def _bucketize_task(num_partitions: int, name: str,
-                    partition: Sequence[Any]) -> list[list[Any]]:
-    """Map side of a shuffle: route pairs into output buckets."""
-    buckets: list[list[Any]] = [[] for _ in range(num_partitions)]
-    for element in partition:
-        try:
-            key, _ = element
-        except (TypeError, ValueError) as exc:
-            raise TypeError(
-                f"shuffle {name!r} requires (key, value) pairs, "
-                f"got {element!r}"
-            ) from exc
-        buckets[stable_hash(key) % num_partitions].append(element)
-    return buckets
-
-
-def _gather_task(fn: Callable[[list[Any]], Any],
-                 rows: list[Any]) -> list[Any]:
-    """Run a gather node's post-processing function."""
-    return list(fn(rows))
-
-
-# -- the shared per-task attempt loop ----------------------------------------
-
-
-def _call_with_timeout(fn: Callable[..., list[Any]], args: tuple[Any, ...],
-                       timeout: float | None) -> list[Any]:
-    """Run ``fn(*args)``, raising :class:`TaskTimeoutError` on overrun.
+def _call_with_timeout(fn: Callable[[Any], Any], shard: Any,
+                       timeout: float | None) -> Any:
+    """Run ``fn(shard)``, raising :class:`TaskTimeoutError` on overrun.
 
     With a timeout, the body runs on a dedicated daemon thread that is
     abandoned on overrun (Python cannot preempt arbitrary code); the
@@ -297,12 +201,12 @@ def _call_with_timeout(fn: Callable[..., list[Any]], args: tuple[Any, ...],
     semantics as a Spark driver giving up on a straggler task.
     """
     if timeout is None:
-        return fn(*args)
+        return fn(shard)
     box: dict[str, Any] = {}
 
     def runner() -> None:
         try:
-            box["result"] = fn(*args)
+            box["result"] = fn(shard)
         except BaseException as exc:  # noqa: BLE001 - re-raised below
             box["error"] = exc
 
@@ -331,8 +235,8 @@ def _failure_kind(exc: BaseException) -> str:
 
 
 def _run_speculative(
-    name: str, partition: int, attempt: int, fn: Callable[..., list[Any]],
-    args: tuple[Any, ...], policy: RetryPolicy,
+    job: int, name: str, partition: int, attempt: int,
+    fn: Callable[[Any], Any], shard: Any, policy: RetryPolicy,
     records: list[TaskAttemptRecord],
 ) -> None:
     """Run a chaos-``duplicate`` speculative execution.
@@ -346,11 +250,11 @@ def _run_speculative(
     """
     started = time.monotonic()
     try:
-        _call_with_timeout(fn, args, policy.timeout)
+        _call_with_timeout(fn, shard, policy.timeout)
     except Exception as exc:
         ended = time.monotonic()
         records.append(TaskAttemptRecord(
-            node_name=name, partition=partition, attempt=attempt,
+            node_name=name, partition=partition, attempt=attempt, job=job,
             speculative=True, started=started, ended=ended,
             run_seconds=ended - started, status=_failure_kind(exc),
             error=f"{type(exc).__name__}: {exc}", chaos_kind="duplicate",
@@ -358,37 +262,31 @@ def _run_speculative(
         raise
     ended = time.monotonic()
     records.append(TaskAttemptRecord(
-        node_name=name, partition=partition, attempt=attempt,
+        node_name=name, partition=partition, attempt=attempt, job=job,
         speculative=True, started=started, ended=ended,
         run_seconds=ended - started, status="ok", chaos_kind="duplicate",
     ))
 
 
 def _run_attempts(
-    name: str, partition: int, fn: Callable[..., list[Any]],
-    args: tuple[Any, ...], policy: RetryPolicy,
-    chaos: ChaosInjector | None,
-    failure_injector: FailureInjector | None = None,
-    submitted: float | None = None,
-) -> tuple[TaskMetrics | None, list[Any] | None, list[TaskFailure],
-           list[TaskAttemptRecord], _FinalError | None]:
+    job: int, name: str, partition: int, fn: Callable[[Any], Any],
+    shard: Any, policy: RetryPolicy, chaos: ChaosInjector | None,
+    failure_injector: FailureInjector | None, submitted: float,
+) -> tuple[TaskMetrics | None, Any, list[TaskFailure],
+           list[TaskAttemptRecord], BaseException | None]:
     """Run one task to success or retry exhaustion.
 
-    The single attempt loop used by **both** backends: chaos plan →
-    injected delay → (injected crash | task body under timeout) →
-    injected result loss, with backoff sleeps between attempts.
-    Returns ``(metrics, result, failed_attempts, attempt_records,
-    final_error)`` where exactly one of ``metrics``/``final_error`` is
-    set; errors travel as portable ``(type, message, traceback)``
-    strings so un-picklable user exceptions cannot poison a process
-    result channel, and the attempt records ride the same tuple so
-    process workers need no shared trace state.
+    The single attempt loop: chaos plan → injected delay → (injected
+    crash | task body under timeout) → injected result loss, with
+    backoff sleeps between attempts.  Returns ``(metrics, result,
+    failed_attempts, attempt_records, final_error)`` where exactly one
+    of ``metrics``/``final_error`` is set.
 
-    ``submitted`` is the driver-side ``time.monotonic()`` at stage
+    ``submitted`` is the driver-side ``time.monotonic()`` at
     submission; the gap to attempt 1's start is the task's queue wait.
     The returned metrics' ``seconds`` is cumulative across attempts
     (body runtime + injected delay; backoff and speculative duplicate
-    runs excluded), so retried tasks no longer under-report.
+    runs excluded), so retried tasks do not under-report.
     """
     failures: list[TaskFailure] = []
     records: list[TaskAttemptRecord] = []
@@ -396,10 +294,7 @@ def _run_attempts(
     busy_seconds = 0.0
     for attempt in range(1, policy.max_attempts + 1):
         started = time.monotonic()
-        queue_seconds = (
-            max(0.0, started - submitted)
-            if submitted is not None and attempt == 1 else 0.0
-        )
+        queue_seconds = max(0.0, started - submitted) if attempt == 1 else 0.0
         plan = None
         chaos_delay = 0.0
         run_seconds = 0.0
@@ -421,12 +316,11 @@ def _run_attempts(
                     # A speculative duplicate runs first; only the
                     # second execution's result is kept.  Pure tasks
                     # make this a no-op by definition.
-                    _run_speculative(
-                        name, partition, attempt, fn, args, policy, records
-                    )
+                    _run_speculative(job, name, partition, attempt, fn,
+                                     shard, policy, records)
             run_started = time.monotonic()
             try:
-                result = _call_with_timeout(fn, args, policy.timeout)
+                result = _call_with_timeout(fn, shard, policy.timeout)
             finally:
                 run_seconds = time.monotonic() - run_started
             if plan is not None and plan.kind == "drop":
@@ -447,10 +341,10 @@ def _run_attempts(
                        else policy.delay(attempt, key=(name, partition)))
             records.append(TaskAttemptRecord(
                 node_name=name, partition=partition, attempt=attempt,
-                started=started, ended=ended, queue_seconds=queue_seconds,
-                run_seconds=run_seconds, backoff_seconds=backoff,
-                chaos_delay_seconds=chaos_delay, status=kind,
-                error=f"{type(exc).__name__}: {exc}",
+                job=job, started=started, ended=ended,
+                queue_seconds=queue_seconds, run_seconds=run_seconds,
+                backoff_seconds=backoff, chaos_delay_seconds=chaos_delay,
+                status=kind, error=f"{type(exc).__name__}: {exc}",
                 chaos_kind=plan.kind if plan is not None else None,
             ))
             busy_seconds += run_seconds + chaos_delay
@@ -461,7 +355,7 @@ def _run_attempts(
             continue
         ended = time.monotonic()
         records.append(TaskAttemptRecord(
-            node_name=name, partition=partition, attempt=attempt,
+            node_name=name, partition=partition, attempt=attempt, job=job,
             started=started, ended=ended, queue_seconds=queue_seconds,
             run_seconds=run_seconds, chaos_delay_seconds=chaos_delay,
             status="ok",
@@ -469,78 +363,35 @@ def _run_attempts(
         ))
         busy_seconds += run_seconds + chaos_delay
         metrics = TaskMetrics(
-            node_name=name, partition=partition, rows_out=len(result),
+            node_name=name, partition=partition,
             seconds=busy_seconds, attempts=attempt,
         )
         return metrics, result, failures, records, None
     assert last_exc is not None
-    final = _FinalError(
-        type_name=type(last_exc).__name__,
-        message=str(last_exc),
-        traceback_text="".join(traceback.format_exception(last_exc)),
-        exception=last_exc,
-    )
-    return None, None, failures, records, final
-
-
-def _run_task_chunk(
-    specs: Sequence[tuple[str, int, Callable[..., list[Any]], tuple[Any, ...]]],
-    policy: RetryPolicy,
-    chaos: ChaosInjector | None,
-    submitted: float | None = None,
-) -> list[tuple[TaskMetrics | None, list[Any] | None, list[TaskFailure],
-                list[TaskAttemptRecord], _FinalError | None]]:
-    """Worker-side body of one chunk: run each task with retries.
-
-    Returns one ``(metrics, result, failures, records, error)`` tuple
-    per task, in input order — the attempt records travel home with
-    the results, so tracing needs no cross-process shared state (on
-    Linux ``time.monotonic`` is system-wide, so worker-side stamps
-    line up with driver-side spans).  Live exception objects are
-    stripped from final errors so un-picklable user exceptions cannot
-    poison the result channel back to the parent; their type, message,
-    and formatted traceback still travel as strings.
-    """
-    out = []
-    for name, partition, fn, args in specs:
-        metrics, result, failures, records, error = _run_attempts(
-            name, partition, fn, args, policy, chaos, submitted=submitted
-        )
-        if error is not None:
-            error.exception = None
-        out.append((metrics, result, failures, records, error))
-    return out
+    return None, None, failures, records, last_exc
 
 
 def _task_failed_error(name: str, partition: int, attempts: int,
-                       error: _FinalError) -> TaskFailedError:
+                       cause: BaseException) -> TaskFailedError:
+    cause_type = type(cause).__name__
+    cause_traceback = "".join(traceback.format_exception(cause))
     return TaskFailedError(
         f"task {name!r} partition {partition} failed after "
-        f"{attempts} attempts: {error.type_name}: {error.message}\n"
-        f"-- original traceback --\n{error.traceback_text}",
+        f"{attempts} attempts: {cause_type}: {cause}\n"
+        f"-- original traceback --\n{cause_traceback}",
         node_name=name, partition=partition, attempts=attempts,
-        cause_type=error.type_name, cause_message=error.message,
-        cause_traceback=error.traceback_text,
+        cause_type=cause_type, cause_message=str(cause),
+        cause_traceback=cause_traceback,
     )
 
 
 class LocalExecutor:
-    """Worker-pool executor for plan DAGs.
+    """Thread-pool executor for shard maps.
 
     Parameters
     ----------
     max_workers:
         Pool width (the "executor instances" of Section V).
-    backend:
-        ``"thread"`` (default) or ``"process"``.  The process backend
-        sidesteps the GIL for CPU-bound pure-Python stages but requires
-        picklable task functions; the thread backend supports arbitrary
-        closures and the legacy failure injector.
-    chunk_size:
-        Process backend only: how many tasks ride in one worker
-        submission.  Defaults to ``ceil(tasks / max_workers)`` per
-        stage — one chunk per worker — which amortizes IPC overhead
-        while keeping all workers busy.
     max_task_retries:
         Shorthand for ``retry_policy=RetryPolicy(max_retries=N)``; 2 by
         default, matching typical Spark ``task.maxFailures`` behaviour
@@ -548,27 +399,25 @@ class LocalExecutor:
         given.
     retry_policy:
         Full fault-tolerance knob: retries, exponential backoff with
-        deterministic jitter, per-attempt timeouts.  Works on both
-        backends (the policy is a frozen, picklable dataclass).
+        deterministic jitter, per-attempt timeouts.
     chaos:
         Optional :class:`~repro.engine.chaos.ChaosInjector` evaluated
-        around every task attempt on **both** backends — the
-        deterministic, seedable fault source of the chaos test suite.
+        around every task attempt — the deterministic, seedable fault
+        source of the chaos test suite.
     failure_injector:
-        Legacy hook raised into each task attempt.  Thread backend
-        only: the hook is an arbitrary (often closure-based) callable
-        that must share state with the test, which cannot cross a
-        process boundary.  Prefer ``chaos`` for new code.
+        Hook raised into each task attempt: an arbitrary (often
+        closure-based) callable that shares state with the test, for
+        failing *specific* ``(partition, attempt)`` pairs that a
+        :class:`~repro.engine.chaos.FaultRule` attempt window cannot
+        express.
     trace:
         Optional :class:`~repro.engine.trace.RunTrace` that collects a
-        node span per stage and per-attempt records for every task on
-        either backend.  Also settable afterwards via the mutable
-        ``trace`` attribute (see
-        :func:`~repro.engine.trace.executor_tracing`).
+        node span per ``map_shards`` call and per-attempt records for
+        every task.  Also settable afterwards via the mutable ``trace``
+        attribute (see :func:`~repro.engine.trace.executor_tracing`).
     """
 
-    def __init__(self, max_workers: int = 4, *, backend: str = "thread",
-                 chunk_size: int | None = None, max_task_retries: int = 2,
+    def __init__(self, max_workers: int = 4, *, max_task_retries: int = 2,
                  retry_policy: RetryPolicy | None = None,
                  chaos: ChaosInjector | None = None,
                  failure_injector: FailureInjector | None = None,
@@ -577,21 +426,7 @@ class LocalExecutor:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         if max_task_retries < 0:
             raise ValueError("max_task_retries must be >= 0")
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"backend must be one of {BACKENDS}, got {backend!r}"
-            )
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if backend == "process" and failure_injector is not None:
-            raise ValueError(
-                "failure_injector requires the thread backend "
-                "(injector hooks cannot cross process boundaries); "
-                "use chaos=ChaosInjector(...) instead"
-            )
         self._max_workers = max_workers
-        self._backend = backend
-        self._chunk_size = chunk_size
         self._retry_policy = (
             retry_policy if retry_policy is not None
             else RetryPolicy(max_retries=max_task_retries)
@@ -603,11 +438,6 @@ class LocalExecutor:
         self.last_job_metrics = JobMetrics()
 
     @property
-    def backend(self) -> str:
-        """The configured backend name."""
-        return self._backend
-
-    @property
     def retry_policy(self) -> RetryPolicy:
         """The active retry policy."""
         return self._retry_policy
@@ -617,180 +447,51 @@ class LocalExecutor:
         """The active chaos injector, if any."""
         return self._chaos
 
-    def execute(self, node: PlanNode) -> list[list[Any]]:
-        """Materialize ``node`` and return its partitions as lists."""
-        self._job_seq += 1
-        self.last_job_metrics = JobMetrics(job=self._job_seq)
-        cache: dict[int, list[list[Any]]] = {}
-        if self._backend == "process":
-            # Process pools are created per job: worker processes must
-            # not leak state (or leaked file descriptors) across jobs.
-            with ProcessPoolExecutor(max_workers=self._max_workers) as pool:
-                return self._materialize(node, cache, pool)
-        pool = _shared_thread_pool(self._max_workers)
-        return self._materialize(node, cache, pool)
+    def map_shards(self, fn: Callable[[Any], Any], shards: Iterable[Any], *,
+                   name: str) -> list[Any]:
+        """Run ``fn(shard)`` as one task per shard; results in shard order.
 
-    def _materialize(self, node: PlanNode, cache: dict[int, list[list[Any]]],
-                     pool: Executor) -> list[list[Any]]:
-        if node.id in cache:
-            return cache[node.id]
-        parents = [self._materialize(p, cache, pool) for p in node.parents]
-        result = self._run_node(node, parents, pool)
-        cache[node.id] = result
-        return result
-
-    def _run_node(self, node: PlanNode, parents: list[list[list[Any]]],
-                  pool: Executor) -> list[list[Any]]:
-        if isinstance(node, SourceNode):
-            return [list(chunk) for chunk in node.chunks]
-        if isinstance(node, NarrowNode):
-            parent = parents[0]
-            specs = [
-                _TaskSpec(node.name, i, _narrow_task,
-                          (node.fn, node.indexed, i, parent[i]))
-                for i in range(len(parent))
-            ]
-            return self._run_tasks(specs, pool)
-        if isinstance(node, ShuffleNode):
-            return self._run_shuffle(node, parents[0], pool)
-        if isinstance(node, UnionNode):
-            merged: list[list[Any]] = []
-            for parent in parents:
-                merged.extend(parent)
-            return merged
-        if isinstance(node, GatherNode):
-            gathered: list[Any] = []
-            for partition in parents[0]:
-                gathered.extend(partition)
-            specs = [_TaskSpec(node.name, 0, _gather_task, (node.fn, gathered))]
-            return [self._run_tasks(specs, pool)[0]]
-        raise TypeError(f"unknown plan node type {type(node).__name__}")
-
-    def _run_shuffle(self, node: ShuffleNode, parent: list[list[Any]],
-                     pool: Executor) -> list[list[Any]]:
-        specs = [
-            _TaskSpec(f"{node.name}.map", i, _bucketize_task,
-                      (node.num_partitions, node.name, partition))
-            for i, partition in enumerate(parent)
-        ]
-        all_buckets = self._run_tasks(specs, pool)
-        output: list[list[Any]] = []
-        for index in range(node.num_partitions):
-            merged: list[Any] = []
-            for buckets in all_buckets:
-                merged.extend(buckets[index])
-            output.append(merged)
-        return output
-
-    # -- scheduling ----------------------------------------------------------
-
-    def _run_tasks(self, specs: list[_TaskSpec],
-                   pool: Executor) -> list[list[Any]]:
-        """Run one stage's tasks, returning results in partition order.
-
-        When a trace is attached, the whole stage runs inside one
-        ``kind="node"`` span (stamped with the job id so repeated
-        executions of same-named nodes stay distinguishable) and the
-        submission timestamp rides along so attempt records can report
-        their queue wait.
+        ``name`` is the node name chaos rules, failure records, and the
+        trace key on; a task's partition is its shard's index.  When a
+        trace is attached, the whole call runs inside one
+        ``kind="node"`` span (stamped with the job id so repeated calls
+        under one name stay distinguishable).  The first task to
+        exhaust its retries raises :class:`TaskFailedError`.
         """
-        if not specs:
+        self._job_seq += 1
+        self.last_job_metrics = metrics = JobMetrics(job=self._job_seq)
+        shards = list(shards)
+        if not shards:
             return []
         trace = self.trace
+        policy = self._retry_policy
+
+        def run_task(partition: int, shard: Any, submitted: float) -> Any:
+            task, result, failures, records, error = _run_attempts(
+                metrics.job, name, partition, fn, shard, policy,
+                self._chaos, self._failure_injector, submitted,
+            )
+            if trace is not None:
+                trace.record_attempts(records)
+            metrics.failures.extend(failures)
+            if error is not None:
+                raise _task_failed_error(
+                    name, partition, policy.max_attempts, error
+                ) from error
+            assert task is not None
+            metrics.tasks.append(task)
+            return result
+
         span = None
         if trace is not None:
-            span = trace.begin_span(
-                specs[0].node_name, "node", job=self.last_job_metrics.job,
-                tasks=len(specs), backend=self._backend,
-            )
+            span = trace.begin_span(name, "node", job=metrics.job,
+                                    tasks=len(shards))
         try:
-            if self._backend == "process":
-                results = self._run_tasks_chunked(specs, pool)
-            else:
-                submitted = time.monotonic()
-                futures = [
-                    pool.submit(self._run_task, spec.node_name,
-                                spec.partition, spec.fn, spec.args, submitted)
-                    for spec in specs
-                ]
-                results = [f.result() for f in futures]
-            if span is not None:
-                span.attributes["rows_out"] = sum(len(r) for r in results)
-            return results
+            pool = _shared_thread_pool(self._max_workers)
+            submitted = time.monotonic()
+            futures = [pool.submit(run_task, partition, shard, submitted)
+                       for partition, shard in enumerate(shards)]
+            return [f.result() for f in futures]
         finally:
             if span is not None:
                 trace.end_span(span)
-
-    def _run_tasks_chunked(self, specs: list[_TaskSpec],
-                           pool: Executor) -> list[list[Any]]:
-        """Process backend: ship tasks in chunks, one future per chunk."""
-        chunk_size = self._chunk_size
-        if chunk_size is None:
-            chunk_size = max(1, math.ceil(len(specs) / self._max_workers))
-        payloads = [
-            [(s.node_name, s.partition, s.fn, s.args) for s in chunk]
-            for chunk in (specs[i:i + chunk_size]
-                          for i in range(0, len(specs), chunk_size))
-        ]
-        submitted = time.monotonic()
-        futures = [
-            pool.submit(_run_task_chunk, payload, self._retry_policy,
-                        self._chaos, submitted)
-            for payload in payloads
-        ]
-        results: list[list[Any]] = []
-        failure: tuple[str, int, _FinalError] | None = None
-        for payload_index, future in enumerate(futures):
-            try:
-                chunk_results = future.result()
-            except (pickle.PicklingError, AttributeError, TypeError) as exc:
-                name = payloads[payload_index][0][0]
-                raise TaskFailedError(
-                    f"tasks of node {name!r} cannot be shipped to the "
-                    "process backend (functions and their captured state "
-                    "must be picklable — use module-level functions, or "
-                    "the thread backend for closures)",
-                    node_name=name,
-                ) from exc
-            for task_index, (
-                metrics, result, failures, records, error
-            ) in enumerate(chunk_results):
-                if self.trace is not None:
-                    self.trace.record_attempts(
-                        stamp_job(records, self.last_job_metrics.job)
-                    )
-                self.last_job_metrics.failures.extend(failures)
-                spec = payloads[payload_index][task_index]
-                if error is not None:
-                    failure = failure or (spec[0], spec[1], error)
-                    continue
-                assert metrics is not None and result is not None
-                self.last_job_metrics.tasks.append(metrics)
-                results.append(result)
-        if failure is not None:
-            name, partition, error = failure
-            raise _task_failed_error(
-                name, partition, self._retry_policy.max_attempts, error
-            )
-        return results
-
-    def _run_task(self, name: str, partition: int,
-                  fn: Callable[..., list[Any]],
-                  args: tuple[Any, ...],
-                  submitted: float | None = None) -> list[Any]:
-        metrics, result, failures, records, error = _run_attempts(
-            name, partition, fn, args, self._retry_policy, self._chaos,
-            self._failure_injector, submitted=submitted,
-        )
-        if self.trace is not None:
-            self.trace.record_attempts(
-                stamp_job(records, self.last_job_metrics.job)
-            )
-        self.last_job_metrics.failures.extend(failures)
-        if error is not None:
-            raise _task_failed_error(
-                name, partition, self._retry_policy.max_attempts, error
-            ) from error.exception
-        assert metrics is not None and result is not None
-        self.last_job_metrics.tasks.append(metrics)
-        return result

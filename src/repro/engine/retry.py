@@ -5,7 +5,7 @@ exceptional: Spark retries a failed task up to
 ``spark.task.maxFailures`` times, backing off between attempts so a
 struggling executor is not immediately re-hammered.  This module
 provides the equivalent knob for :class:`~repro.engine.executor.
-LocalExecutor` — a pluggable, picklable :class:`RetryPolicy` with
+LocalExecutor` — a pluggable :class:`RetryPolicy` with
 exponential backoff, a delay cap, deterministic jitter, and an
 optional per-attempt timeout.
 
@@ -15,26 +15,61 @@ delay is jittered multiplicatively, then clamped through a running
 maximum and the cap.  This keeps chaos tests reproducible — the same
 seed always produces the same sleep sequence — while still spreading
 retry storms across tasks (each task key draws an independent jitter
-stream).
+stream).  The draws come from :func:`stable_uniform`, which lives here
+beside its two users: the jitter below and the fault decisions of
+:mod:`repro.engine.chaos`.
 """
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Any, Hashable
 
-from repro.engine.plan import stable_uniform
 
+def stable_hash(key: Any) -> int:
+    """Deterministic hash of a task key.
 
-def _unit_interval(seed: int, key: Hashable, attempt: int) -> float:
-    """Deterministic pseudo-uniform draw in ``[0, 1)``.
-
-    Derived from :func:`~repro.engine.plan.stable_uniform`, so the
-    draw is well-mixed yet identical across worker processes and runs
-    — the property that lets the process backend replay the exact same
-    backoff schedule.
+    Python's built-in ``hash`` is randomized per process for strings,
+    so a seeded storm or jitter stream keyed on a node name would
+    change from run to run.  This hash is stable across processes and
+    runs for the key types task keys are made of — strings, bytes,
+    ints, bools, None, and tuples thereof — and falls back to ``hash``
+    for anything else.
     """
-    return stable_uniform((seed, key, attempt))
+    if isinstance(key, str):
+        return zlib.crc32(key.encode("utf-8", "surrogatepass"))
+    if isinstance(key, (bytes, bytearray)):
+        return zlib.crc32(key)
+    if isinstance(key, bool) or key is None:
+        return int(bool(key))
+    if isinstance(key, int):
+        return key
+    if isinstance(key, tuple):
+        acc = 0x345678
+        for element in key:
+            acc = (acc * 1000003) ^ stable_hash(element)
+            acc &= 0xFFFFFFFFFFFFFFFF
+        return acc
+    return hash(key)
+
+
+def stable_uniform(key: Any) -> float:
+    """Deterministic pseudo-uniform draw in ``[0, 1)`` for ``key``.
+
+    :func:`stable_hash` optimizes for speed and run-to-run stability,
+    not bit diffusion — neighbouring integer keys map to neighbouring
+    hashes, which would make probability draws fire all-or-nothing
+    across partitions.  This runs the hash through a splitmix64-style
+    finalizer so every key bit avalanches into the result, while
+    staying just as stable across processes and runs (the property
+    chaos injection and retry jitter rely on).
+    """
+    mixed = stable_hash(key) & 0xFFFFFFFFFFFFFFFF
+    mixed = ((mixed ^ (mixed >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    mixed = ((mixed ^ (mixed >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    mixed ^= mixed >> 31
+    return (mixed >> 32) / 2.0**32
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,7 +169,7 @@ class RetryPolicy:
         raw = self.base_delay
         for attempt in range(1, retries + 1):
             jittered = raw * (1.0 + self.jitter
-                              * _unit_interval(self.seed, key, attempt))
+                              * stable_uniform((self.seed, key, attempt)))
             previous = min(self.max_delay, max(previous, jittered))
             delays.append(previous)
             raw *= self.multiplier

@@ -11,24 +11,20 @@ recorder:
 
 * :class:`TaskAttemptRecord` — one attempt of one task, carrying queue
   / run / backoff / injected-delay durations, the retry cause, and the
-  chaos-plan annotation.  Records are produced inside the shared
-  attempt loop on **both** executor backends and travel back to the
-  driver with the existing per-task result tuples, so process workers
-  need no shared state.
-* :class:`Span` — a named, nestable wall-clock interval: plan-node
-  stages, checkpoint shards, pipeline stages, whole days.
+  chaos-plan annotation.  Records are produced inside the executor's
+  attempt loop, on the pool thread that ran the attempt.
+* :class:`Span` — a named, nestable wall-clock interval: engine
+  nodes (one per ``map_shards`` call), checkpoint shards, pipeline
+  stages, whole days.
 * :class:`RunTrace` — the collector: spans plus attempt records, JSONL
   export/import, a human :meth:`~RunTrace.summary` (critical path,
-  slowest stages, retry hot spots, rows/sec per stage), and
-  :meth:`~RunTrace.validate` — the completeness contract the chaos
-  suite asserts under fault storms: every executed task accounted,
-  spans properly nested, attempt durations non-negative and additive.
+  slowest stages, retry hot spots), and :meth:`~RunTrace.validate` —
+  the completeness contract the chaos suite asserts under fault
+  storms: every executed task accounted, spans properly nested,
+  attempt durations non-negative and additive.
 
-Timestamps are ``time.monotonic()`` values.  On Linux that clock is
-``CLOCK_MONOTONIC``, which is system-wide, so records stamped inside
-worker processes line up with driver-side spans; elsewhere cross-
-process offsets are absorbed by the validation tolerance and clamping.
-JSONL export rebases every timestamp onto seconds-since-trace-start.
+Timestamps are ``time.monotonic()`` values; JSONL export rebases every
+timestamp onto seconds-since-trace-start.
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ import json
 import threading
 import time
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, ContextManager, Iterable, Iterator
 
@@ -91,14 +87,6 @@ class TaskAttemptRecord:
         return self.run_seconds + self.chaos_delay_seconds
 
 
-def stamp_job(records: Iterable[TaskAttemptRecord],
-              job: int) -> list[TaskAttemptRecord]:
-    """Return ``records`` with their ``job`` id set (driver-side fixup
-    for process-backend records, which are produced before the worker
-    can know which execute() call it serves)."""
-    return [replace(r, job=job) for r in records]
-
-
 @dataclass(slots=True)
 class Span:
     """One named wall-clock interval in a run trace."""
@@ -121,10 +109,8 @@ class RunTrace:
     """Collector for one traced run: spans + task attempt records.
 
     Span begin/end calls are expected from the driver thread (pipeline
-    code and the executor's stage scheduler both run there); attempt
-    records may arrive from pool threads, so all mutation is guarded by
-    a lock.  The instance never crosses a process boundary — process
-    workers return their records with the task results instead.
+    code and ``map_shards`` both run there); attempt records arrive
+    from pool threads, so all mutation is guarded by a lock.
     """
 
     def __init__(self, name: str = "run") -> None:
@@ -186,9 +172,8 @@ class RunTrace:
         """Attempt records grouped per task, in attempt order.
 
         Keyed by ``(job, node_name, partition)`` — the job id
-        disambiguates re-executions of identically named plan nodes
-        across engine actions (e.g. one resolve stage per checkpoint
-        shard).
+        disambiguates ``map_shards`` calls under one node name (e.g.
+        one resolve call per checkpoint shard).
         """
         groups: dict[tuple[int, str, int], list[TaskAttemptRecord]] = {}
         for record in self.attempts:
@@ -237,20 +222,6 @@ class RunTrace:
         spots.sort(key=lambda s: (-s[2], s[0], s[1]))
         return spots
 
-    def rows_per_second(self) -> dict[str, float]:
-        """Output rows per wall second for node spans that counted rows."""
-        rows: dict[str, int] = {}
-        seconds: dict[str, float] = {}
-        for span in self.spans:
-            out = span.attributes.get("rows_out")
-            if span.kind == "node" and span.ended is not None and out:
-                rows[span.name] = rows.get(span.name, 0) + int(out)
-                seconds[span.name] = seconds.get(span.name, 0.0) + span.duration
-        return {
-            name: (rows[name] / seconds[name]) if seconds[name] > 0 else 0.0
-            for name in rows
-        }
-
     # -- reporting -----------------------------------------------------------
 
     def summary(self, top: int = 5) -> str:
@@ -275,12 +246,9 @@ class RunTrace:
         stage_totals = sorted(self.stage_seconds().items(),
                               key=lambda kv: -kv[1])
         if stage_totals:
-            rates = self.rows_per_second()
             lines.append("slowest stages:")
             for name, seconds in stage_totals[:top]:
-                rate = rates.get(name)
-                suffix = f"  {rate:,.0f} rows/s" if rate else ""
-                lines.append(f"  {name:<24} {seconds * 1000:9.2f} ms{suffix}")
+                lines.append(f"  {name:<24} {seconds * 1000:9.2f} ms")
         spots = self.retry_hot_spots()
         if spots:
             lines.append("retry hot spots:")

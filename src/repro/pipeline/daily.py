@@ -2,12 +2,12 @@
 
 Reads raw events from the MaxCompute-like events table and the weight
 configuration from the MySQL-like config DB, computes per-VM CDI
-reports and per-(VM, event) drill-down CDIs on the mini dataset
+reports and per-(VM, event) drill-down CDIs on the shard-map
 engine, and writes the two output tables back — the exact dataflow of
 Fig. 4.
 
 There is one production compute path: the events table is scanned as
-typed column blocks, each engine partition resolves its batch to
+typed column blocks, each engine task resolves its batch to
 weighted intervals with array gathers, and every damage integral of
 the whole fleet — all VMs × categories *and* all (VM, event-name)
 drill-down groups — comes out of one vectorized kernel sweep
@@ -19,8 +19,8 @@ sweep, then once more per event name — the paper's pseudocode executed
 literally, kept so tests and the benchmark's oracles have something
 independent to compare against.
 
-Output rows are written sorted (by VM, then event name) so reruns,
-backends, and both paths produce byte-identical tables.
+Output rows are written sorted (by VM, then event name) so reruns
+and both paths produce byte-identical tables.
 """
 
 from __future__ import annotations
@@ -230,10 +230,7 @@ class _ResolveColumnsStage:
     index: ResolverIndex
     vm_of: Mapping[str, int]
 
-    def __call__(self, part: Iterable[Any]) -> list[_ResolvedBatch]:
-        return [self._resolve(batch) for batch in part]
-
-    def _resolve(self, batch: Any) -> _ResolvedBatch:
+    def __call__(self, batch: Any) -> _ResolvedBatch:
         size = len(batch)
         if size == 0:
             empty_f = np.empty(0, dtype=np.float64)
@@ -348,51 +345,8 @@ class _ResolveColumnsStage:
         )
 
 
-@dataclass(frozen=True)
-class _ComputeVmStage:
-    """Engine stage of the reference path: full Algorithm 1 per VM.
-
-    Runs the per-category sweep and the per-event-name re-sweep with
-    the pure-Python reference implementation; picklable for the
-    process backend (the calculator holds only plain dataclasses).
-    """
-
-    calculator: CdiCalculator
-    services: Mapping[str, ServicePeriod]
-    horizon: float
-
-    def __call__(
-        self, kv: tuple[str, list[Event]]
-    ) -> dict[str, Any]:
-        vm, vm_events = kv
-        service = self.services[vm]
-        periods = resolve_periods(
-            vm_events, self.calculator.catalog, horizon=self.horizon
-        )
-        report = self.calculator.vm_report(periods, service)
-        event_rows = [
-            {
-                "vm": vm,
-                "event": name,
-                "cdi": self.calculator.event_level_cdi(periods, service, name),
-                "service_time": service.duration,
-            }
-            for name in sorted({p.name for p in periods})
-        ]
-        return {
-            "vm_row": {
-                "vm": vm,
-                "unavailability": report.unavailability,
-                "performance": report.performance,
-                "control_plane": report.control_plane,
-                "service_time": report.service_time,
-            },
-            "event_rows": event_rows,
-        }
-
-
 class DailyCdiJob:
-    """End-to-end daily computation on the mini engine.
+    """End-to-end daily computation on the shard-map engine.
 
     Parameters
     ----------
@@ -634,7 +588,7 @@ class DailyCdiJob:
         """Column-batch scan → vectorized resolve → one kernel sweep.
 
         The events table is scanned as typed column blocks (no row
-        dicts), each engine partition resolves its batch with array
+        dicts), each engine task resolves its batch with array
         gathers, and the per-batch name tables are merged into one
         global table before the fleet kernel sweep.  Stateful detail
         rows (rare) fall back to the reference pairing per VM.  Returns
@@ -646,13 +600,11 @@ class DailyCdiJob:
         vm_list = sorted(services)
         vm_of = {vm: i for i, vm in enumerate(vm_list)}
         stage = _ResolveColumnsStage(index, vm_of)
-        resolved = (
-            self._context.scan_columns(
-                self._tables.get(EVENTS_TABLE), partition=partition,
-                name="events_columns",
-            )
-            .map_partitions(stage, name="resolve_columns")
-            .collect()
+        batches = self._tables.get(EVENTS_TABLE).column_batches(
+            partition=partition, batches=self._context.parallelism
+        )
+        resolved = self._context.map_shards(
+            stage, batches, name="resolve_columns"
         )
 
         # name → global name id, in first-seen order.
@@ -713,27 +665,34 @@ class DailyCdiJob:
         # resolution would skip them anyway), so only a row that counts
         # can raise on its fields.
         logical_name = self._catalog.logical_name
-        in_service = [
-            row_to_event(row) for row in rows
-            if logical_name(row["name"]) is not None
-        ]
+        by_vm: dict[str, list[Event]] = {}
+        for row in rows:
+            if logical_name(row["name"]) is not None:
+                by_vm.setdefault(row["target"], []).append(row_to_event(row))
         calculator = CdiCalculator(self._catalog, self.load_weights())
-        grouped = (
-            self._context.parallelize(in_service, name="events")
-            .key_by(_event_target)
-            .group_by_key()
-        )
-        stage = _ComputeVmStage(calculator, dict(services), horizon)
-        computed = grouped.map(stage).collect()
-        vm_rows = [c["vm_row"] for c in computed]
-        event_rows = [row for c in computed for row in c["event_rows"]]
-        seen = {row["vm"] for row in vm_rows}
+        vm_rows: list[dict[str, Any]] = []
+        event_rows: list[dict[str, Any]] = []
         for vm, service in services.items():
-            if vm not in seen:
-                vm_rows.append({
-                    "vm": vm, "unavailability": 0.0, "performance": 0.0,
-                    "control_plane": 0.0, "service_time": service.duration,
-                })
+            periods = resolve_periods(
+                by_vm.get(vm, ()), self._catalog, horizon=horizon
+            )
+            report = calculator.vm_report(periods, service)
+            vm_rows.append({
+                "vm": vm,
+                "unavailability": report.unavailability,
+                "performance": report.performance,
+                "control_plane": report.control_plane,
+                "service_time": report.service_time,
+            })
+            event_rows.extend(
+                {
+                    "vm": vm,
+                    "event": name,
+                    "cdi": calculator.event_level_cdi(periods, service, name),
+                    "service_time": service.duration,
+                }
+                for name in sorted({p.name for p in periods})
+            )
         vm_rows.sort(key=_vm_row_key)
         event_rows.sort(key=_event_row_key)
         return (
@@ -741,11 +700,6 @@ class DailyCdiJob:
             _rows_to_columns(event_rows, event_cdi_schema().names),
             len(rows),
         )
-
-
-def _event_target(event: Event) -> str:
-    """Shuffle key of the reference path (picklable module function)."""
-    return event.target
 
 
 def _rows_to_columns(rows: list[dict[str, Any]],

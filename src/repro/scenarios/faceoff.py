@@ -25,8 +25,7 @@ seven-day baseline:
 
 :func:`faceoff_json` serializes the result byte-deterministically
 (sorted keys, fixed float formatting from pure-function arithmetic):
-reruns — on either executor backend — produce identical bytes, which
-CI enforces with ``cmp``.
+reruns produce identical bytes, which CI enforces with ``cmp``.
 """
 
 from __future__ import annotations
@@ -139,21 +138,18 @@ def _score_rca(scenario: OutageScenario,
     }
 
 
-def run_scenario(scenario: OutageScenario, *,
-                 backend: str = "thread") -> dict[str, Any]:
+def run_scenario(scenario: OutageScenario) -> dict[str, Any]:
     """Replay one family member through the daily job; measure KPIs.
 
     Every day's labeled faults are rendered as catalog events and
     ingested into a fresh job's events table; the day's CDI comes from
     the job's fleet report and the day's AIR from the same partition's
     raw rows.  The returned record is plain data, a pure function of
-    ``(scenario, backend)`` — and of ``scenario`` alone, since both
-    backends compute byte-identical outputs.
+    ``scenario``.
     """
     catalog = default_catalog()
     job = DailyCdiJob(
-        EngineContext(parallelism=2, backend=backend),
-        TableStore(), ConfigDB(), catalog,
+        EngineContext(parallelism=2), TableStore(), ConfigDB(), catalog,
     )
     job.store_weights(default_weights())
     services = {
@@ -214,7 +210,7 @@ def run_scenario(scenario: OutageScenario, *,
     return record
 
 
-def run_faceoff(seed: int = 0, *, backend: str = "thread") -> dict[str, Any]:
+def run_faceoff(seed: int = 0) -> dict[str, Any]:
     """The full head-to-head study: every family member, one artifact.
 
     Returns the plain-data result :func:`faceoff_json` serializes —
@@ -223,7 +219,7 @@ def run_faceoff(seed: int = 0, *, backend: str = "thread") -> dict[str, Any]:
     whether every scenario matched its designed expectation).
     """
     scenarios = outage_family(seed)
-    records = [run_scenario(s, backend=backend) for s in scenarios]
+    records = [run_scenario(s) for s in scenarios]
     by_verdict: dict[str, list[str]] = {}
     for record in records:
         by_verdict.setdefault(record["verdict"], []).append(record["name"])

@@ -29,8 +29,7 @@ agree and disagree:
 
 Every scenario is a pure function of its seed; the faceoff study
 (:mod:`repro.scenarios.faceoff`) replays the family through the real
-daily CDI job and serializes byte-identically across reruns and
-executor backends.
+daily CDI job and serializes byte-identically across reruns.
 """
 
 from __future__ import annotations

@@ -391,9 +391,7 @@ class ColumnarPartition:
 class ColumnBatch:
     """A row-range of sealed column blocks — the engine's scan element.
 
-    Batches are zero-copy views over the partition's sealed arrays and
-    picklable, so column-batch stages run unchanged on the process
-    executor backend.
+    Batches are zero-copy views over the partition's sealed arrays.
     """
 
     columns: Mapping[str, ColumnBlock]
@@ -426,9 +424,8 @@ def slice_batches(blocks: Mapping[str, ColumnBlock], length: int,
                   batches: int) -> list[ColumnBatch]:
     """Split sealed blocks into balanced contiguous zero-copy batches.
 
-    Mirrors the engine's partition chunking (``base + 1`` rows for the
-    first ``extra`` batches) so a column scan distributes exactly like
-    ``parallelize`` would.  Returns at least one (possibly empty) batch.
+    The first ``extra`` batches get ``base + 1`` rows.  Returns at least
+    one (possibly empty) batch.
     """
     if batches < 1:
         raise ValueError(f"batches must be >= 1, got {batches}")

@@ -9,8 +9,8 @@ than silently coerced.
 Three on-disk layouts exist for table stores:
 
 * **v1 (legacy, row-major)** — one JSON object per table with
-  ``partitions`` as lists of row dicts.  Still readable (and writable
-  via ``layout="rows"``) for backward compatibility.
+  ``partitions`` as lists of row dicts.  Read-only: the loader migrates
+  such files, nothing writes them any more.
 * **v2 (columnar)** — an envelope
   ``{"format": "repro-table-store", "version": 2, ...}`` whose
   partitions store column-major value lists (``null`` for masked
@@ -45,10 +45,6 @@ from repro.storage.table import Table, TableStore
 
 #: Version of the single-file columnar layout.
 COLUMNAR_VERSION = 2
-
-# Private aliases kept for callers of the historical helper names.
-_schema_to_dict = schema_to_dict
-_schema_from_dict = schema_from_dict
 
 
 def _columnar_partition_payload(table: Table, partition: str) -> dict[str, Any]:
@@ -90,9 +86,8 @@ def save_table_store(store: TableStore, path: str | Path, *,
 
     ``layout="columnar"`` (default) writes the versioned column-major
     format; ``layout="chunked"`` writes the offset-indexed v3 JSONL
-    stream (``chunk_rows`` rows per chunk record) that loads lazily;
-    ``layout="rows"`` writes the legacy v1 row-major layout for
-    consumers that have not migrated.  ``atomic=True`` writes through a
+    stream (``chunk_rows`` rows per chunk record) that loads lazily.
+    ``atomic=True`` writes through a
     temp file + fsync + rename so a kill mid-save cannot corrupt an
     existing file.  Output is deterministic: tables and partitions are
     emitted in sorted order, so saving an unchanged store reproduces
@@ -102,26 +97,13 @@ def save_table_store(store: TableStore, path: str | Path, *,
         save_table_store_chunked(store, path, chunk_rows=chunk_rows,
                                  atomic=atomic)
         return
-    if layout == "rows":
-        payload: dict[str, Any] = {}
-        for name in store.names():
-            table = store.get(name)
-            payload[name] = {
-                "schema": _schema_to_dict(table.schema),
-                "partitions": {
-                    partition: table.rows(partition=partition)
-                    for partition in table.partitions
-                },
-            }
-        _write_text(path, json.dumps(payload), atomic)
-        return
     if layout != "columnar":
         raise ValueError(f"unknown table-store layout {layout!r}")
     tables: dict[str, Any] = {}
     for name in store.names():
         table = store.get(name)
         tables[name] = {
-            "schema": _schema_to_dict(table.schema),
+            "schema": schema_to_dict(table.schema),
             "partitions": {
                 partition: _columnar_partition_payload(table, partition)
                 for partition in table.partitions
@@ -145,7 +127,7 @@ def _load_columnar_store(payload: dict[str, Any],
         )
     store = TableStore()
     for name, table_data in payload["tables"].items():
-        schema = _schema_from_dict(table_data["schema"])
+        schema = schema_from_dict(table_data["schema"])
         table = store.create(name, schema)
         for partition, part_data in table_data["partitions"].items():
             columns = part_data["columns"]
@@ -188,7 +170,7 @@ def load_table_store(path: str | Path) -> TableStore:
         return _load_columnar_store(payload, path)
     store = TableStore()
     for name, table_data in payload.items():
-        schema = _schema_from_dict(table_data["schema"])
+        schema = schema_from_dict(table_data["schema"])
         table = store.create(name, schema)
         for partition, rows in table_data["partitions"].items():
             table.overwrite_partition(rows, partition)

@@ -338,8 +338,8 @@ class Table:
                        batches: int = 1) -> list[ColumnBatch]:
         """Split a columnar read into balanced row-range batches.
 
-        The building block of the engine's column-batch scan source:
-        each :class:`~repro.storage.columns.ColumnBatch` is a zero-copy
+        What the daily job hands the engine, one batch per task: each
+        :class:`~repro.storage.columns.ColumnBatch` is a zero-copy
         slice of the (pruned, optionally filtered) column blocks.
         """
         blocks = self.columns(partition, names, predicate=predicate)

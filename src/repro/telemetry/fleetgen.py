@@ -16,13 +16,11 @@ Two properties make this usable for out-of-core pipelines:
   shard ``k`` alone yields byte-identical faults to shard ``k`` of a
   full-fleet pass, which is what lets a resumed (or distributed) run
   regenerate just the shards it needs.
-* **Split compatibility** — :func:`split_fleet` reproduces the daily
-  job's contiguous balanced shard split and unit labels
-  (``shard-0000``, ...) without importing the pipeline layer, so
-  events ingested per shard line up one-to-one with the VM shards that
-  ``run_checkpointed(..., sharded_events=True)`` will compute.  The
-  duplication is deliberate (telemetry must stay importable without
-  the pipeline); a test pins the two implementations to each other.
+* **Split compatibility** — :func:`split_fleet` is the daily job's own
+  contiguous balanced shard split and unit labels (``shard-0000``,
+  ...; :mod:`repro.pipeline.checkpoint`), so events ingested per shard
+  line up one-to-one with the VM shards that
+  ``run_checkpointed(..., sharded_events=True)`` will compute.
 
 Faults, not events, are yielded: turning a fault into a catalog event
 (name, severity, duration attribute) is scenario policy, so callers
@@ -36,6 +34,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, Iterator, Sequence
 
 from repro.core.events import EventCategory
+from repro.pipeline.checkpoint import shard_units, split_shards
 from repro.telemetry.faults import FAULT_CATEGORY, Fault, FaultInjector, FaultKind, FaultRate
 
 
@@ -53,33 +52,20 @@ class FleetShard:
     targets: tuple[str, ...]
 
 
-def shard_unit(index: int) -> str:
-    """Label of shard ``index`` (pipeline-compatible: ``shard-0000``)."""
-    return f"shard-{index:04d}"
-
-
 def split_fleet(targets: Sequence[str], shards: int) -> list[FleetShard]:
-    """Split ``targets`` into contiguous balanced shards.
+    """Split ``targets`` into the checkpointed daily job's shards.
 
-    Mirrors the checkpointed daily job's split exactly: ``len(targets)
-    // shards`` targets per shard with the first ``len(targets) %
-    shards`` shards one larger, never more shards than targets, and at
-    least one (possibly empty-fleet) shard.
+    :func:`~repro.pipeline.checkpoint.split_shards` decides the split
+    (contiguous, balanced, never more shards than targets, at least one
+    possibly-empty shard) and
+    :func:`~repro.pipeline.checkpoint.shard_units` the labels.
     """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    parts = min(shards, len(targets)) or 1
-    base, extra = divmod(len(targets), parts)
-    out: list[FleetShard] = []
-    cursor = 0
-    for index in range(parts):
-        size = base + (1 if index < extra else 0)
-        out.append(FleetShard(
-            index=index, unit=shard_unit(index),
-            targets=tuple(targets[cursor:cursor + size]),
-        ))
-        cursor += size
-    return out
+    parts = split_shards(targets, shards)
+    units = shard_units(len(parts))
+    return [
+        FleetShard(index=index, unit=units[index], targets=tuple(part))
+        for index, part in enumerate(parts)
+    ]
 
 
 def _shard_seed(seed: int, index: int) -> int:

@@ -20,7 +20,6 @@ from repro.control import (
     seeded_scenario,
 )
 from repro.core.events import EventCategory
-from repro.engine.dataset import EngineContext
 from repro.telemetry.faults import FaultKind
 from repro.telemetry.fleetgen import InjectedIncident
 
@@ -181,15 +180,6 @@ class TestDeterminism:
             seeded_scenario(control_seed)
         ).run()
         assert scorecard_json(second) == scorecard_json(first)
-
-    def test_process_backend_is_byte_identical(self, control_seed,
-                                               seeded_run):
-        _, threaded = seeded_run
-        processed = ClosedLoopController(
-            seeded_scenario(control_seed),
-            context=EngineContext(parallelism=2, backend="process"),
-        ).run()
-        assert scorecard_json(processed) == scorecard_json(threaded)
 
 
 class TestConflictingEpisodes:

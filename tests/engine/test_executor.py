@@ -1,4 +1,4 @@
-"""Tests for the local executor: scheduling, retries, metrics."""
+"""Tests for the local executor: shard maps, retries, metrics."""
 
 import threading
 import time
@@ -14,7 +14,6 @@ from repro.engine.executor import (
     TaskFailure,
     TaskMetrics,
 )
-from repro.engine.plan import NarrowNode, ShuffleNode, SourceNode
 from repro.engine.retry import RetryPolicy
 from repro.engine.trace import RunTrace
 
@@ -31,39 +30,29 @@ def _sleepy(part):
 class TestBasicExecution:
     def test_source_materialization(self):
         executor = LocalExecutor()
-        parts = executor.execute(SourceNode([[1, 2], [3]]))
-        assert parts == [[1, 2], [3]]
+        assert executor.map_shards(list, [[1, 2], [3]], name="copy") == \
+            [[1, 2], [3]]
+        assert executor.map_shards(list, [], name="copy") == []
+        assert executor.map_shards(list, iter([(1,), (2,)]), name="copy") == \
+            [[1], [2]]
 
     def test_narrow_runs_per_partition(self):
         executor = LocalExecutor()
-        source = SourceNode([[1, 2], [3]])
-        node = NarrowNode(source, lambda part: [x * 10 for x in part], "x10")
-        assert executor.execute(node) == [[10, 20], [30]]
+        seen = []
 
-    def test_shuffle_groups_keys(self):
+        def times_ten(part):
+            seen.append(part)
+            return [x * 10 for x in part]
+
+        assert executor.map_shards(times_ten, [[1, 2], [3]], name="x10") == \
+            [[10, 20], [30]]
+        assert sorted(seen) == [[1, 2], [3]]    # one task per shard
+
+    def test_results_need_not_be_sized(self):
+        """A task returns one object of any type (no ``len`` taken)."""
         executor = LocalExecutor()
-        source = SourceNode([[("a", 1), ("b", 2)], [("a", 3)]])
-        node = ShuffleNode(source, 3)
-        parts = executor.execute(node)
-        merged = {}
-        for part in parts:
-            for key, value in part:
-                merged.setdefault(key, []).append(value)
-        assert merged == {"a": [1, 3], "b": [2]}
-        # All pairs for one key land in one partition.
-        for part in parts:
-            keys = {k for k, _ in part}
-            for key in keys:
-                others = [p for p in parts if p is not part and
-                          any(k == key for k, _ in p)]
-                assert not others
-
-    def test_shuffle_requires_pairs(self):
-        executor = LocalExecutor(max_task_retries=0)
-        source = SourceNode([[1, 2, 3]])
-        node = ShuffleNode(source, 2)
-        with pytest.raises(TaskFailedError):
-            executor.execute(node)
+        assert executor.map_shards(sum, [[1, 2], [3]], name="sum") == [3, 3]
+        assert executor.map_shards(lambda s: None, [0], name="none") == [None]
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
@@ -80,9 +69,8 @@ class TestRetries:
                 raise RuntimeError("transient")
 
         executor = LocalExecutor(failure_injector=injector)
-        source = SourceNode([[1], [2]])
-        node = NarrowNode(source, lambda part: list(part), "flaky")
-        assert executor.execute(node) == [[1], [2]]
+        assert executor.map_shards(list, [[1], [2]], name="flaky") == \
+            [[1], [2]]
         assert failures["count"] == 2
         assert executor.last_job_metrics.retried_tasks == 2
 
@@ -92,46 +80,41 @@ class TestRetries:
                 raise RuntimeError("permanent")
 
         executor = LocalExecutor(max_task_retries=1, failure_injector=injector)
-        node = NarrowNode(SourceNode([[1]]), lambda part: list(part), "doomed")
         with pytest.raises(TaskFailedError, match="2 attempts"):
-            executor.execute(node)
+            executor.map_shards(list, [[1]], name="doomed")
 
     def test_zero_retries(self):
         def injector(name, partition, attempt):
             raise RuntimeError("fail")
 
         executor = LocalExecutor(max_task_retries=0, failure_injector=injector)
-        node = NarrowNode(SourceNode([[1]]), lambda part: list(part), "boom")
         with pytest.raises(TaskFailedError, match="1 attempts"):
-            executor.execute(node)
+            executor.map_shards(list, [[1]], name="boom")
 
 
 class TestMetrics:
     def test_task_metrics_recorded(self):
         executor = LocalExecutor()
-        source = SourceNode([[1, 2], [3]])
-        node = NarrowNode(source, lambda part: list(part), "copy")
-        executor.execute(node)
+        executor.map_shards(list, [[1, 2], [3]], name="copy")
         metrics = executor.last_job_metrics
-        copy_tasks = [t for t in metrics.tasks if t.node_name == "copy"]
-        assert len(copy_tasks) == 2
-        assert sum(t.rows_out for t in copy_tasks) == 3
-        assert all(t.seconds >= 0 for t in metrics.tasks)
+        assert sorted((t.node_name, t.partition) for t in metrics.tasks) == \
+            [("copy", 0), ("copy", 1)]
+        assert all(t.seconds >= 0 and t.attempts == 1 for t in metrics.tasks)
 
     def test_metrics_reset_between_jobs(self):
         executor = LocalExecutor()
-        node = NarrowNode(SourceNode([[1]]), lambda part: list(part), "copy")
-        executor.execute(node)
+        executor.map_shards(list, [[1]], name="copy")
         first = executor.last_job_metrics.task_count
-        executor.execute(node)
+        executor.map_shards(list, [[1]], name="copy")
         assert executor.last_job_metrics.task_count == first
+        assert executor.last_job_metrics.job == 2
 
     def test_by_node_aggregation(self):
         executor = LocalExecutor()
-        source = SourceNode([[("a", 1)], [("b", 2)]])
-        node = ShuffleNode(source, 2, name="sh")
-        executor.execute(node)
-        assert "sh.map" in executor.last_job_metrics.by_node()
+        executor.map_shards(list, [[("a", 1)], [("b", 2)]], name="sh.map")
+        by_node = executor.last_job_metrics.by_node()
+        assert set(by_node) == {"sh.map"}
+        assert by_node["sh.map"] == executor.last_job_metrics.total_seconds
 
     def test_seconds_cumulative_across_attempts(self):
         """Regression: a crash-then-succeed task reports the failed
@@ -146,8 +129,8 @@ class TestMetrics:
             return list(part)
 
         executor = LocalExecutor(max_workers=1)
-        node = NarrowNode(SourceNode([[1]]), crash_then_succeed, "flaky")
-        assert executor.execute(node) == [[1]]
+        assert executor.map_shards(crash_then_succeed, [[1]],
+                                   name="flaky") == [[1]]
         (task,) = executor.last_job_metrics.tasks
         assert task.attempts == 2
         # Both ~0.05s attempt bodies must be accounted (the old code
@@ -167,8 +150,7 @@ class TestMetrics:
             max_workers=1,
             retry_policy=RetryPolicy(max_retries=1, base_delay=0.1),
         )
-        node = NarrowNode(SourceNode([[1]]), crash_once, "flaky")
-        assert executor.execute(node) == [[1]]
+        assert executor.map_shards(crash_once, [[1]], name="flaky") == [[1]]
         (task,) = executor.last_job_metrics.tasks
         assert task.seconds < 0.1   # the 0.1s backoff is idle, not busy
 
@@ -183,8 +165,7 @@ class TestMetrics:
             time.sleep(0.08)
             return list(part)
 
-        node = NarrowNode(SourceNode([[1]]), nap, "dup")
-        assert executor.execute(node) == [[1]]
+        assert executor.map_shards(nap, [[1]], name="dup") == [[1]]
         (task,) = executor.last_job_metrics.tasks
         # The body ran twice (~0.16s total) but only the kept run counts.
         assert 0.08 <= task.seconds < 0.14
@@ -205,8 +186,8 @@ class TestFailureAccounting:
     def test_counters_from_synthetic_failures(self):
         metrics = JobMetrics(
             tasks=[
-                TaskMetrics("a", 0, rows_out=1, seconds=0.0, attempts=1),
-                TaskMetrics("a", 1, rows_out=1, seconds=0.0, attempts=3),
+                TaskMetrics("a", 0, seconds=0.0, attempts=1),
+                TaskMetrics("a", 1, seconds=0.0, attempts=3),
             ],
             failures=[
                 TaskFailure("a", 1, attempt=1, kind="error", error="E"),
@@ -226,8 +207,8 @@ class TestFailureAccounting:
             max_workers=2, retry_policy=RetryPolicy(max_retries=3),
             chaos=ChaosInjector([FaultRule(kind="crash", attempts=2)]),
         )
-        node = NarrowNode(SourceNode([[1], [2]]), lambda p: list(p), "flaky")
-        assert executor.execute(node) == [[1], [2]]
+        assert executor.map_shards(list, [[1], [2]], name="flaky") == \
+            [[1], [2]]
         metrics = executor.last_job_metrics
         assert metrics.retried_tasks == 2   # 2 tasks recovered
         assert metrics.retry_attempts == 4  # 2 injected crashes each
@@ -236,24 +217,21 @@ class TestFailureAccounting:
 
     def test_failed_tasks_counted_on_exhaustion(self):
         executor = LocalExecutor(max_task_retries=1)
-        node = NarrowNode(SourceNode([[1]]), _kaput, "doomed")
         with pytest.raises(TaskFailedError):
-            executor.execute(node)
+            executor.map_shards(_kaput, [[1]], name="doomed")
         metrics = executor.last_job_metrics
         assert metrics.failed_tasks == 1
         assert metrics.retry_attempts == 1
         assert [f.kind for f in metrics.failures] == ["error", "error"]
         assert [f.fatal for f in metrics.failures] == [False, True]
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_timeout_attempts_counted(self, backend):
+    def test_timeout_attempts_counted(self):
         executor = LocalExecutor(
-            max_workers=1, backend=backend,
+            max_workers=1,
             retry_policy=RetryPolicy(max_retries=1, timeout=0.05),
         )
-        node = NarrowNode(SourceNode([[1]]), _sleepy, "straggler")
         with pytest.raises(TaskFailedError) as excinfo:
-            executor.execute(node)
+            executor.map_shards(_sleepy, [[1]], name="straggler")
         assert excinfo.value.cause_type == "TaskTimeoutError"
         metrics = executor.last_job_metrics
         assert metrics.timed_out_tasks == 1
@@ -273,8 +251,8 @@ class TestFailureAccounting:
             max_workers=1, retry_policy=RetryPolicy(max_retries=1,
                                                     timeout=0.1),
         )
-        node = NarrowNode(SourceNode([[7]]), sometimes_slow, "warmup")
-        assert executor.execute(node) == [[7]]
+        assert executor.map_shards(sometimes_slow, [[7]],
+                                   name="warmup") == [[7]]
         metrics = executor.last_job_metrics
         assert metrics.timed_out_tasks == 1
         assert metrics.retried_tasks == 1
@@ -284,11 +262,10 @@ class TestFailureAccounting:
 class TestErrorContext:
     """Satellite: TaskFailedError preserves node, cause, and traceback."""
 
-    def test_thread_backend_chains_original_exception(self):
+    def test_failure_chains_original_exception(self):
         executor = LocalExecutor(max_task_retries=1)
-        node = NarrowNode(SourceNode([[1]]), _kaput, "exploding_node")
         with pytest.raises(TaskFailedError) as excinfo:
-            executor.execute(node)
+            executor.map_shards(_kaput, [[1]], name="exploding_node")
         error = excinfo.value
         assert error.node_name == "exploding_node"
         assert error.partition == 0
@@ -296,31 +273,17 @@ class TestErrorContext:
         assert error.cause_type == "ValueError"
         assert error.cause_message == "kaput"
         assert 'raise ValueError("kaput")' in error.cause_traceback
+        assert "ValueError: kaput" in error.cause_traceback
+        assert "-- original traceback --" in str(error)
         assert isinstance(error.__cause__, ValueError)
         assert str(error.__cause__) == "kaput"
 
-    def test_process_backend_preserves_traceback_text(self):
-        executor = LocalExecutor(max_workers=2, backend="process",
-                                 max_task_retries=1)
-        node = NarrowNode(SourceNode([[1], [2]]), _kaput, "exploding_node")
-        with pytest.raises(TaskFailedError) as excinfo:
-            executor.execute(node)
-        error = excinfo.value
-        assert error.node_name == "exploding_node"
-        assert error.attempts == 2
-        assert error.cause_type == "ValueError"
-        assert error.cause_message == "kaput"
-        assert "ValueError: kaput" in error.cause_traceback
-        assert 'raise ValueError("kaput")' in error.cause_traceback
-        assert "-- original traceback --" in str(error)
-
     def test_message_names_node_and_attempts(self):
         executor = LocalExecutor(max_task_retries=0)
-        node = NarrowNode(SourceNode([[1]]), _kaput, "boom")
         with pytest.raises(TaskFailedError,
                            match="task 'boom' partition 0 failed after "
                                  "1 attempts: ValueError: kaput"):
-            executor.execute(node)
+            executor.map_shards(_kaput, [[1]], name="boom")
 
 
 class TestConcurrency:
@@ -332,6 +295,6 @@ class TestConcurrency:
             return list(part)
 
         context = EngineContext(parallelism=4)
-        data = context.parallelize(range(8), num_partitions=4)
-        result = data.map_partitions(wait_at_barrier).collect()
-        assert sorted(result) == list(range(8))
+        shards = [[0, 1], [2, 3], [4, 5], [6, 7]]
+        assert context.map_shards(wait_at_barrier, shards,
+                                  name="barrier") == shards

@@ -7,7 +7,6 @@ import pytest
 from repro.engine.chaos import ChaosInjector, FaultRule
 from repro.engine.dataset import EngineContext
 from repro.engine.executor import LocalExecutor, TaskFailedError
-from repro.engine.plan import NarrowNode, SourceNode
 from repro.engine.trace import (
     RunTrace,
     TaskAttemptRecord,
@@ -28,8 +27,7 @@ def _nap(part):
 def _traced_run(**executor_kwargs):
     trace = RunTrace("t")
     executor = LocalExecutor(max_workers=2, trace=trace, **executor_kwargs)
-    node = NarrowNode(SourceNode([[1, 2], [3]]), _copy, "copy")
-    result = executor.execute(node)
+    result = executor.map_shards(_copy, [[1, 2], [3]], name="copy")
     return trace, executor, result
 
 
@@ -53,8 +51,8 @@ class TestSpans:
     def test_attributes_are_recorded(self):
         trace = RunTrace()
         with trace.span("stage", "node", tasks=3) as span:
-            span.attributes["rows_out"] = 7
-        assert span.attributes == {"tasks": 3, "rows_out": 7}
+            span.attributes["vms"] = 7
+        assert span.attributes == {"tasks": 3, "vms": 7}
 
     def test_trace_span_helper_is_inert_without_trace(self):
         with trace_span(None, "anything") as span:
@@ -78,19 +76,19 @@ class TestCollection:
         assert len(groups) == metrics.task_count
         assert trace.validate(metrics) == []
 
-    def test_node_span_carries_rows_and_job(self):
+    def test_node_span_carries_tasks_and_job(self):
         trace, executor, _ = _traced_run()
         (span,) = [s for s in trace.spans if s.kind == "node"]
         assert span.name == "copy"
-        assert span.attributes["rows_out"] == 3
-        assert span.attributes["job"] == executor.last_job_metrics.job
+        assert span.attributes == {
+            "tasks": 2, "job": executor.last_job_metrics.job,
+        }
 
     def test_job_ids_keep_re_executions_apart(self):
         trace = RunTrace()
         executor = LocalExecutor(max_workers=2, trace=trace)
-        node = NarrowNode(SourceNode([[1], [2]]), _copy, "copy")
-        executor.execute(node)
-        executor.execute(node)
+        executor.map_shards(_copy, [[1], [2]], name="copy")
+        executor.map_shards(_copy, [[1], [2]], name="copy")
         jobs = {key[0] for key in trace.task_groups()}
         assert len(jobs) == 2
         assert trace.validate(executor.last_job_metrics) == []
@@ -114,24 +112,28 @@ class TestCollection:
         trace = RunTrace()
         executor = LocalExecutor(max_workers=1, max_task_retries=1,
                                  chaos=chaos, trace=trace)
-        node = NarrowNode(SourceNode([[1]]), _copy, "doomed")
         with pytest.raises(TaskFailedError):
-            executor.execute(node)
+            executor.map_shards(_copy, [[1]], name="doomed")
         records = trace.task_groups()[(1, "doomed", 0)]
         assert [r.attempt for r in records] == [1, 2]
         assert all(r.status == "injected" for r in records)
         assert trace.validate() == []
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_chaos_storm_traces_complete_on_both_backends(self, backend):
+    def test_chaos_storm_traces_complete_across_stages(self):
+        """Three engine calls under one storm, one trace: every call is
+        its own job with its own node span, and each call's metrics
+        cross-check against its share of the records."""
         chaos = ChaosInjector.storm(seed=5, probability=0.4, delay=0.002)
-        trace = RunTrace(backend)
-        context = EngineContext(parallelism=2, backend=backend,
-                                chaos=chaos, trace=trace)
-        result = (context.parallelize(range(20), name="nums")
-                  .key_by(abs).group_by_key().collect())
-        assert len(result) == 20
-        assert trace.validate(context.last_job_metrics) == []
+        trace = RunTrace("storm")
+        context = EngineContext(parallelism=2, chaos=chaos, trace=trace)
+        shards = [list(range(i, i + 5)) for i in range(0, 20, 5)]
+        for stage in ("key_by", "group.map", "group"):
+            shards = context.map_shards(_copy, shards, name=stage)
+            assert trace.validate(context.last_job_metrics) == []
+        assert sum(shards, []) == list(range(20))
+        assert [s.name for s in trace.spans if s.kind == "node"] == \
+            ["key_by", "group.map", "group"]
+        assert {key[0] for key in trace.task_groups()} == {1, 2, 3}
         assert {r.status for r in trace.attempts} > {"ok"}
 
 
@@ -192,8 +194,7 @@ class TestValidate:
         trace, executor, _ = _traced_run()
         executor.last_job_metrics.tasks[0] = (
             executor.last_job_metrics.tasks[0].__class__(
-                node_name="copy", partition=0, rows_out=2,
-                seconds=99.0, attempts=1,
+                node_name="copy", partition=0, seconds=99.0, attempts=1,
             )
         )
         problems = trace.validate(executor.last_job_metrics)
@@ -224,12 +225,6 @@ class TestSummaryViews:
                 time.sleep(0.02)
         path = [s.name for s in trace.critical_path()]
         assert path == ["root", "slow"]
-
-    def test_rows_per_second_uses_node_spans(self):
-        trace, _, _ = _traced_run()
-        rates = trace.rows_per_second()
-        assert set(rates) == {"copy"}
-        assert rates["copy"] > 0.0
 
     def test_summary_mentions_the_headline_numbers(self):
         chaos = ChaosInjector([FaultRule(kind="crash", attempts=1)])

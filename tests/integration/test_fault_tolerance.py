@@ -4,9 +4,9 @@ The ISSUE's headline deliverable.  Three claims are proven here:
 
 * **Differential chaos** — the daily job under injected crashes,
   delays, duplicates, and drops produces output tables byte-identical
-  to a fault-free run, on both executor backends and on both compute
-  paths (columnar and the reference oracle), including stateful
-  paired events.
+  to a fault-free run, including stateful paired events; the
+  reference oracle runs off the engine (a storm has nothing to hit
+  there) and pins the clean bytes the storms are compared against.
 * **Checkpoint/resume** — a job killed at any shard boundary and
   resumed recomputes only the unfinished VM shards (asserted by
   counting events-table block loads through an instrumented
@@ -74,13 +74,13 @@ def chaos_seeds() -> list[int]:
     return [0, 1, 2]
 
 
-def make_job(events: list[Event], *, backend: str = "thread",
+def make_job(events: list[Event], *,
              chaos: ChaosInjector | None = None,
              retry_policy: RetryPolicy | None = None,
              store: TableStore | None = None,
              use_fastpath: bool = True) -> DailyCdiJob:
-    context = EngineContext(parallelism=2, backend=backend,
-                            retry_policy=retry_policy, chaos=chaos)
+    context = EngineContext(parallelism=2, retry_policy=retry_policy,
+                            chaos=chaos)
     job = DailyCdiJob(context, store if store is not None else TableStore(),
                       ConfigDB(), default_catalog(),
                       use_fastpath=use_fastpath)
@@ -152,29 +152,16 @@ class TestChaosDifferential:
             assert metrics.retried_tasks > 0
 
     @pytest.mark.parametrize("seed", chaos_seeds())
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_storm_differential_columnar(self, fleet, clean_outputs,
-                                         backend, seed):
-        """A mixed-fault storm on either backend reproduces the clean
-        columnar output byte for byte."""
+    def test_storm_differential_columnar(self, fleet, clean_outputs, seed):
+        """A mixed-fault storm reproduces the clean columnar output
+        byte for byte."""
         events, services = fleet
-        job = make_job(events, backend=backend,
+        job = make_job(events,
                        chaos=ChaosInjector.storm(seed=seed, probability=0.5,
                                                  delay=0.002))
         job.run(PARTITION, services)
         assert output_bytes(job) == clean_outputs[True]
         assert job._context.executor.last_job_metrics.failed_tasks == 0
-
-    @pytest.mark.parametrize("seed", chaos_seeds())
-    def test_storm_differential_reference(self, fleet, clean_outputs, seed):
-        """The reference oracle survives the same storms with
-        identical bytes."""
-        events, services = fleet
-        job = make_job(events, use_fastpath=False,
-                       chaos=ChaosInjector.storm(seed=seed, probability=0.5,
-                                                 delay=0.002))
-        job.run(PARTITION, services)
-        assert output_bytes(job) == clean_outputs[False]
 
     def test_storm_beyond_retry_budget_fails_loudly(self, fleet):
         """Permanent faults are not silently swallowed: a storm wider
@@ -213,12 +200,11 @@ class KillingCheckpoint(JobCheckpoint):
 class TestCheckpointResume:
     """Tentpole: kill → resume recomputes only unfinished shards."""
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
     @pytest.mark.parametrize("shards", [1, 3, 8])
     def test_checkpointed_equals_plain_run(self, fleet, clean_outputs,
-                                           tmp_path, backend, shards):
+                                           tmp_path, shards):
         events, services = fleet
-        job = make_job(events, backend=backend)
+        job = make_job(events)
         job.run_checkpointed(
             PARTITION, services,
             checkpoint=JobCheckpoint(tmp_path / "ck.json"), shards=shards,
@@ -553,20 +539,19 @@ class TestTraceCompleteness:
 
     Every fault the storm injects must be visible in the trace as an
     attempt record, every span must close, and the attempt timings must
-    add up to the span wall time — on both executor backends, across
-    the same seed matrix as the differential tests above.
+    add up to the span wall time, across the same seed matrix as the
+    differential tests above.
     """
 
     @pytest.mark.parametrize("seed", chaos_seeds())
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_storm_run_trace_is_complete(self, fleet, backend, seed):
+    def test_storm_run_trace_is_complete(self, fleet, seed):
         from repro.engine.trace import RunTrace
 
         events, services = fleet
-        job = make_job(events, backend=backend,
+        job = make_job(events,
                        chaos=ChaosInjector.storm(seed=seed, probability=0.5,
                                                  delay=0.002))
-        trace = RunTrace(f"storm-{backend}-s{seed}")
+        trace = RunTrace(f"storm-s{seed}")
         job.run(PARTITION, services, trace=trace)
         metrics = job._context.executor.last_job_metrics
         assert trace.validate(metrics) == []
@@ -579,13 +564,12 @@ class TestTraceCompleteness:
         assert {"compute", "write_outputs"} <= stages
 
     @pytest.mark.parametrize("seed", chaos_seeds())
-    @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_checkpointed_storm_traces_every_shard(self, fleet, tmp_path,
-                                                   backend, seed):
+                                                   seed):
         from repro.engine.trace import RunTrace
 
         events, services = fleet
-        job = make_job(events, backend=backend,
+        job = make_job(events,
                        chaos=ChaosInjector.storm(seed=seed, probability=0.3,
                                                  delay=0.002))
         trace = RunTrace("ckpt")
@@ -620,15 +604,15 @@ class TestTraceCompleteness:
 class TestStreamingKillMatrix:
     """Satellite chaos matrix for the streaming loop: kill the tailer's
     checkpoint at every tick boundary (the flush included), resume from
-    the cursor, and check the published tables against batch oracles on
-    *both* executor backends.  The cursor protocol must never
-    double-count a record across the crash."""
+    the cursor, and check the published tables against the batch
+    oracle.  The cursor protocol must never double-count a record
+    across the crash."""
 
     LATENESS = 3600.0
     TICKS = 3
     STREAM_VMS = 8
 
-    _oracle_cache: dict[tuple[int, str], bytes] = {}
+    _oracle_cache: dict[int, bytes] = {}
 
     def stream_case(self, seed: int):
         services = make_services(self.STREAM_VMS)
@@ -638,14 +622,13 @@ class TestStreamingKillMatrix:
                                       random.Random(seed))
         return services, arrival, chunked(arrival, self.TICKS)
 
-    def oracle(self, seed: int, backend: str) -> bytes:
-        key = (seed, backend)
-        if key not in self._oracle_cache:
+    def oracle(self, seed: int) -> bytes:
+        if seed not in self._oracle_cache:
             services, arrival, _ = self.stream_case(seed)
-            job = make_job(oracle_order(arrival), backend=backend)
+            job = make_job(oracle_order(arrival))
             job.run(PARTITION, services)
-            self._oracle_cache[key] = output_bytes(job)
-        return self._oracle_cache[key]
+            self._oracle_cache[seed] = output_bytes(job)
+        return self._oracle_cache[seed]
 
     def run_killed_stream(self, tmp_path, seed: int, kill_at: int):
         services, arrival, chunks = self.stream_case(seed)
@@ -684,13 +667,12 @@ class TestStreamingKillMatrix:
 
     @pytest.mark.parametrize("seed", chaos_seeds())
     @pytest.mark.parametrize("kill_at", range(1, TICKS + 2))
-    def test_kill_resume_matches_both_backends(self, tmp_path, seed,
-                                               kill_at):
+    def test_kill_resume_matches_batch_oracle(self, tmp_path, seed,
+                                              kill_at):
         streamed, resumed, arrival = self.run_killed_stream(
             tmp_path, seed, kill_at
         )
         # Exactly-once across the crash: every arrival applied once.
         assert resumed.state.applied == len(arrival)
         assert resumed.tailer.late_dropped == 0
-        for backend in ("thread", "process"):
-            assert streamed == self.oracle(seed, backend)
+        assert streamed == self.oracle(seed)

@@ -2,7 +2,7 @@
 
 The family is deterministic per seed, so the tests pin hard facts:
 scenario shapes, per-seed KPI verdicts, RCA localization accuracy,
-and byte-identical serialization across executor backends.
+and byte-identical serialization across reruns.
 """
 
 import pytest
@@ -11,7 +11,6 @@ from repro.scenarios.faceoff import (
     FLAG_RATIO,
     faceoff_json,
     run_faceoff,
-    run_scenario,
 )
 from repro.scenarios.outages import (
     BASELINE_DAYS,
@@ -161,9 +160,3 @@ class TestFaceoffSeed0:
 class TestFaceoffDeterminism:
     def test_rerun_byte_identical(self, faceoff_seed0):
         assert faceoff_json(run_faceoff(0)) == faceoff_json(faceoff_seed0)
-
-    def test_backends_byte_identical_single_scenario(self):
-        scenario = outage_family(0)[1]  # hard-downtime
-        thread = run_scenario(scenario, backend="thread")
-        process = run_scenario(scenario, backend="process")
-        assert faceoff_json(thread) == faceoff_json(process)

@@ -109,8 +109,7 @@ class TestReadersVsOverwrites:
 class TestReadersDuringBackfill:
     def test_completed_days_stable_while_backfill_extends(self):
         """Readers over day00/day01 see constant answers while a live
-        backfill appends later partitions through the thread-backend
-        engine."""
+        backfill appends later partitions through the engine."""
         job, fleet, services = build_dataset(days=2)
         service = QueryService(job.tables, resolver=fleet.dimensions_of)
         baseline = {

@@ -28,6 +28,28 @@ def make_store() -> TableStore:
     return store
 
 
+#: :func:`make_store` in the v1 row-major layout, byte for byte what the
+#: retired ``layout="rows"`` writer produced.  Nothing writes v1 any
+#: more; the loader still migrates it.
+LEGACY_V1_STORE = {
+    "empty": {
+        "schema": [{"name": "k", "dtype": "int", "nullable": False}],
+        "partitions": {},
+    },
+    "vm_cdi": {
+        "schema": [
+            {"name": "vm", "dtype": "str", "nullable": False},
+            {"name": "cdi", "dtype": "float", "nullable": False},
+            {"name": "note", "dtype": "str", "nullable": True},
+        ],
+        "partitions": {
+            "d1": [{"vm": "a", "cdi": 0.1, "note": None}],
+            "d2": [{"vm": "b", "cdi": 0.2, "note": "x"}],
+        },
+    },
+}
+
+
 class TestTableStorePersistence:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "store.json"
@@ -73,12 +95,10 @@ class TestTableStorePersistence:
         }
 
     def test_legacy_rows_layout_roundtrip(self, tmp_path):
-        """v1 row-major files (and ``layout="rows"`` writes) keep
-        loading into the columnar store byte-for-byte."""
+        """v1 row-major files keep loading into the columnar store
+        byte-for-byte."""
         legacy = tmp_path / "legacy.json"
-        save_table_store(make_store(), legacy, layout="rows")
-        payload = json.loads(legacy.read_text())
-        assert "format" not in payload  # bare v1 mapping, no envelope
+        legacy.write_text(json.dumps(LEGACY_V1_STORE))
         restored = load_table_store(legacy)
         assert restored.get("vm_cdi").rows(partition="d1") == [
             {"vm": "a", "cdi": 0.1, "note": None}
@@ -97,9 +117,14 @@ class TestTableStorePersistence:
         table = store.create("t", Schema([Column("k", int)]))
         table.overwrite_partition([], partition="empty_day")
         table.append([{"k": 1}], partition="full_day")
-        for layout in ("columnar", "rows"):
-            path = tmp_path / f"{layout}.json"
-            save_table_store(store, path, layout=layout)
+        columnar = tmp_path / "columnar.json"
+        save_table_store(store, columnar)
+        legacy = tmp_path / "rows.json"
+        legacy.write_text(json.dumps({"t": {
+            "schema": [{"name": "k", "dtype": "int", "nullable": False}],
+            "partitions": {"empty_day": [], "full_day": [{"k": 1}]},
+        }}))
+        for path in (columnar, legacy):
             restored = load_table_store(path)
             assert restored.get("t").partitions == ["empty_day", "full_day"]
             assert restored.get("t").count("empty_day") == 0
@@ -121,9 +146,11 @@ class TestTableStorePersistence:
         ]
 
     def test_unknown_layout_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown table-store layout"):
-            save_table_store(make_store(), tmp_path / "x.json",
-                             layout="parquet")
+        for layout in ("parquet", "rows"):      # v1 is read-only now
+            with pytest.raises(ValueError,
+                               match="unknown table-store layout"):
+                save_table_store(make_store(), tmp_path / "x.json",
+                                 layout=layout)
 
     def test_unsupported_version_rejected(self, tmp_path):
         path = tmp_path / "store.json"
@@ -206,7 +233,7 @@ class TestLayoutMigration:
         expected = self.rows_of(original)
 
         v1 = tmp_path / "v1.json"
-        save_table_store(original, v1, layout="rows")
+        v1.write_text(json.dumps(LEGACY_V1_STORE))
         from_v1 = load_table_store(v1)
         assert self.rows_of(from_v1) == expected
 
@@ -231,7 +258,10 @@ class TestLayoutMigration:
 
     def test_every_layout_loads_identically(self, tmp_path):
         expected = self.rows_of(make_store())
-        for layout in ("rows", "columnar", "chunked"):
+        legacy = tmp_path / "rows.json"
+        legacy.write_text(json.dumps(LEGACY_V1_STORE))
+        assert self.rows_of(load_table_store(legacy)) == expected
+        for layout in ("columnar", "chunked"):
             path = tmp_path / f"{layout}.json"
             save_table_store(make_store(), path, layout=layout)
             assert self.rows_of(load_table_store(path)) == expected

@@ -143,6 +143,29 @@ class TestColumnarReads:
         ]
         assert flattened == [f"v{i}" for i in range(7)]
 
+    def test_column_batches_pass_pruning_and_predicate_through(self):
+        table = make_table()
+        table.append([{"vm": f"v{i}", "value": float(i)} for i in range(10)])
+        pruned = table.column_batches(names=["value"], batches=2)
+        assert all(batch.names == ("value",) for batch in pruned)
+        assert [v for batch in pruned
+                for v in batch.values("value").tolist()] == \
+            [float(i) for i in range(10)]
+        (batch,) = table.column_batches(
+            names=["vm"],
+            predicate=lambda c: np.asarray(c["value"]) >= 8.0,
+        )
+        assert batch.column("vm").to_pylist() == ["v8", "v9"]
+
+    def test_column_batches_missing_partition_yields_empty_batches(self):
+        """Never zero batches: the daily job maps one task per batch and
+        an eventless day must still produce its (empty) bundle."""
+        table = self.make_table()
+        (only,) = table.column_batches("nope")
+        assert len(only) == 0 and only.names == ("vm", "value", "note")
+        assert [len(b) for b in table.column_batches("nope", batches=3)] == \
+            [0, 0, 0]
+
     def test_row_and_column_reads_agree(self):
         table = self.make_table()
         rows = table.rows()

@@ -10,7 +10,6 @@ from repro.telemetry.fleetgen import (
     iter_fleet_faults,
     labeled_day_faults,
     shard_faults,
-    shard_unit,
     split_fleet,
 )
 
@@ -51,8 +50,10 @@ class TestSplitFleet:
             split_fleet(["a"], 0)
 
     def test_unit_labels(self):
-        assert shard_unit(0) == "shard-0000"
-        assert shard_unit(123) == "shard-0123"
+        units = [s.unit for s in split_fleet([str(i) for i in range(124)],
+                                             124)]
+        assert units[0] == "shard-0000"
+        assert units[123] == "shard-0123"
 
 
 class TestShardDeterminism:
@@ -94,9 +95,9 @@ class TestShardDeterminism:
         fault stream — the per-shard seed mixes the shard index."""
         same_targets = ("vm-000", "vm-001", "vm-002")
         from repro.telemetry.fleetgen import FleetShard
-        first = FleetShard(index=0, unit=shard_unit(0),
+        first = FleetShard(index=0, unit="shard-0000",
                            targets=same_targets)
-        second = FleetShard(index=1, unit=shard_unit(1),
+        second = FleetShard(index=1, unit="shard-0001",
                             targets=same_targets)
         assert (shard_faults(first, self.rates(), 0.0, DAY, seed=0)
                 != shard_faults(second, self.rates(), 0.0, DAY, seed=0))
