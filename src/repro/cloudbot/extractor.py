@@ -27,7 +27,6 @@ import numpy as np
 from repro.analytics.evt import Spot
 from repro.analytics.stl import BacktrackStl
 from repro.core.events import Event, Severity
-from repro.storage.logstore import LogStore
 from repro.telemetry.logs import LogLine
 from repro.telemetry.metrics import MetricSample
 
@@ -190,25 +189,6 @@ class EventExtractor:
                 if event is not None:
                     events.append(event)
         return events
-
-    def extract_from_log_store(self, store: LogStore, start: float,
-                               end: float) -> list[Event]:
-        """Expert regex events straight from an SLS-like log store.
-
-        Streams the store's time-range query (entry by entry — no
-        materialized window list on either side) through the log rules,
-        so extraction over a fleet-scale window holds only the matched
-        events.  Entries are adapted lazily; non-log entries (no
-        ``line`` field) are skipped.
-        """
-        entries = store.query(start, end)
-        lines = (
-            LogLine(time=entry.time, target=entry.get("target", ""),
-                    line=entry.get("line"))
-            for entry in entries
-            if entry.get("line") is not None
-        )
-        return self.extract_from_logs(lines)
 
     def extract_statistical(
         self, samples: Sequence[MetricSample]

@@ -94,6 +94,7 @@ def run_days(
                     fingerprint = job.checkpoint_fingerprint(
                         partition, services, shards=shards
                     )
+                    # Opened once here: ``ensure`` will not re-read it.
                     replayable = (
                         resume and checkpoint.load()
                         and checkpoint.fingerprint() == fingerprint

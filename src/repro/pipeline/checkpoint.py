@@ -4,70 +4,36 @@ The production daily job (Section V) runs on a Spark cluster where a
 driver restart mid-job is routine; rerunning the whole fleet from
 scratch would blow the daily deadline.  This module gives the
 reproduction the same property: the job computes in **VM shards**
-(contiguous ranges of the sorted VM list), stages every finished
-shard's output columns durably, and records progress in a manifest —
-all persisted through the existing columnar table-store layer
-(:func:`~repro.storage.persistence.save_table_store`, written
-atomically).  A killed job resumed with the same inputs recomputes
-only the unfinished shards and produces byte-identical output tables,
-because the fleet kernel's per-VM results are exact per group and
-therefore independent of which other VMs share a sweep.
+(contiguous ranges of the sorted VM list) and appends every finished
+shard's output columns to a log of sealed records
+(:class:`~repro.storage.recordlog.RecordLog`).  A shard record *is* its
+manifest row, so a shard is never marked complete without its data, and
+saving shard *n* costs shard *n*, not shards ``0..n``.  A killed job
+resumed with the same inputs recomputes only the unfinished shards and
+produces byte-identical output tables, because the fleet kernel's
+per-VM results are exact per group and therefore independent of which
+other VMs share a sweep.
 
 One checkpoint file corresponds to one ``(job, day-partition)`` run.
 Its identity is a **fingerprint** over everything that affects the
 output (day partition, VM list with service bounds, weight-config
 version, shard count, compute path); a resume against a mismatched
-fingerprint starts over rather than mixing incompatible shards.
+fingerprint — or a file that is not a checkpoint log, such as the
+whole-file JSON checkpoints of earlier versions — starts over rather
+than mixing incompatible shards.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from itertools import chain
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from repro.pipeline.tables import event_cdi_schema, vm_cdi_schema
-from repro.storage.persistence import load_table_store, save_table_store
-from repro.storage.schema import Column, Schema
-from repro.storage.table import TableStore
-
-#: Tables inside a checkpoint store.
-MANIFEST_TABLE = "manifest"
-META_TABLE = "meta"
-VM_STAGING_TABLE = "vm_cdi_staging"
-EVENT_STAGING_TABLE = "event_cdi_staging"
-
-#: Partition keys of the bookkeeping tables.
-MANIFEST_PARTITION = "shards"
-META_PARTITION = "meta"
-
-#: Meta keys.
-META_FINGERPRINT = "fingerprint"
-META_STATUS = "status"
-META_PARTITION_KEY = "partition"
-
-#: Checkpoint lifecycle states.
-STATUS_IN_PROGRESS = "in-progress"
-STATUS_FINALIZED = "finalized"
-
-
-def manifest_schema() -> Schema:
-    """One row per completed shard unit."""
-    return Schema([
-        Column("unit", str),
-        Column("vm_rows", int),
-        Column("event_rows", int),
-        Column("event_count", int),
-    ])
-
-
-def meta_schema() -> Schema:
-    """Key/value run metadata (fingerprint, status, partition)."""
-    return Schema([
-        Column("key", str),
-        Column("value", str),
-    ])
+from repro.storage.recordlog import RecordLog
+from repro.storage.schema import Schema
 
 
 def shard_units(count: int) -> list[str]:
@@ -118,172 +84,153 @@ def job_fingerprint(partition: str, services: Mapping[str, Any],
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _columns_to_lists(table: Any, partition: str) -> dict[str, list]:
-    blocks = table.columns(partition)
-    return {name: block.to_pylist() for name, block in blocks.items()}
 
 
 class JobCheckpoint:
-    """Durable manifest + staged outputs for one daily-job run.
+    """Durable shard progress + staged outputs for one daily-job run.
 
-    The checkpoint is a single JSON table-store file at ``path``
-    holding four tables: the shard ``manifest``, run ``meta``, and the
-    two staging tables whose partitions are shard units.  Every
-    mutation is persisted immediately with an atomic write, so the
-    file is always a consistent snapshot a resumed process can trust.
+    One regular file at ``path``: a ``begin`` record (fingerprint,
+    partition; written atomically), one ``shard`` record per completed
+    unit (``event_count`` and both staged column sets, schema-validated
+    when recorded and again when replayed) and a closing ``finalized``
+    record, each appended and fsynced.  The object is the file's single
+    writer: once opened it mirrors the file and is never re-read.
     """
 
     def __init__(self, path: str | Path,
                  vm_schema: Schema | None = None,
                  event_schema: Schema | None = None) -> None:
-        self._path = Path(path)
+        self._log = RecordLog(path)
         self._vm_schema = vm_schema or vm_cdi_schema()
         self._event_schema = event_schema or event_cdi_schema()
-        self._store: TableStore | None = None
+        self._mirror(None)
+
+    def _mirror(self, fingerprint: str | None) -> None:
+        """Reset the in-memory mirror to an empty run (``None``: closed)."""
+        self._fingerprint = fingerprint
+        self._finalized = False
+        #: unit → (event_count, vm column lists, event column lists)
+        self._shards: dict[str, tuple[int, dict[str, list],
+                                      dict[str, list]]] = {}
 
     @property
     def path(self) -> Path:
         """Location of the checkpoint file."""
-        return self._path
+        return self._log.path
 
     # -- lifecycle -----------------------------------------------------------
 
     def load(self) -> bool:
-        """Load an existing checkpoint file; ``False`` when absent."""
-        if not self._path.exists():
+        """Replay the file up to its last intact record; ``False`` when
+        there is nothing to resume (no file, or one that does not start
+        with an intact ``begin`` record)."""
+        records = self._log.replay()
+        self._mirror(None)
+        if not records or records[0].get("kind") != "begin":
             return False
-        self._store = load_table_store(self._path)
+        try:
+            for record in records[1:]:
+                if record["kind"] == "shard":
+                    self._shards[record["unit"]] = (
+                        int(record["event_count"]),
+                        self._vm_schema.validated_lists(record["vm"]),
+                        self._event_schema.validated_lists(record["event"]),
+                    )
+                elif record["kind"] == "finalized":
+                    self._finalized = True
+                else:
+                    raise ValueError(
+                        f"unknown record kind {record['kind']!r} in "
+                        f"checkpoint {self.path}"
+                    )
+            self._fingerprint = str(records[0]["fingerprint"])
+        except (KeyError, TypeError) as error:
+            raise ValueError(
+                f"malformed record in checkpoint {self.path}: {error!r}"
+            ) from None
         return True
 
     def begin(self, fingerprint: str, partition: str) -> None:
-        """Start a fresh run, discarding any previous state."""
-        store = TableStore()
-        store.create(MANIFEST_TABLE, manifest_schema())
-        meta = store.create(META_TABLE, meta_schema())
-        store.create(VM_STAGING_TABLE, self._vm_schema)
-        store.create(EVENT_STAGING_TABLE, self._event_schema)
-        meta.overwrite_partition([
-            {"key": META_FINGERPRINT, "value": fingerprint},
-            {"key": META_STATUS, "value": STATUS_IN_PROGRESS},
-            {"key": META_PARTITION_KEY, "value": partition},
-        ], META_PARTITION)
-        self._store = store
-        self._save()
+        """Start a fresh run, atomically replacing any previous file."""
+        self._log.create({
+            "kind": "begin", "fingerprint": fingerprint,
+            "partition": partition,
+        })
+        self._mirror(fingerprint)
 
     def ensure(self, fingerprint: str, partition: str, *,
                resume: bool = True) -> set[str]:
         """Open (resuming when possible) and return completed units.
 
-        Resumes only when a checkpoint file exists, ``resume`` is on,
+        Resumes only when a checkpoint log exists, ``resume`` is on,
         and the stored fingerprint matches; any mismatch — different
-        services, weights version, shard count, or compute path —
-        starts a fresh run instead of mixing incompatible shards.
+        services, weights version, shard count, or compute path — and
+        any file that is not a checkpoint log starts a fresh run.  A
+        checkpoint already opened through this object is not re-read.
         """
-        if resume and self.load() and self.fingerprint() == fingerprint:
-            return set(self.completed_units())
+        if (resume and (self._fingerprint is not None or self.load())
+                and self._fingerprint == fingerprint):
+            return set(self._shards)
         self.begin(fingerprint, partition)
         return set()
 
     def discard(self) -> None:
         """Delete the checkpoint file (cleanup after a finished run)."""
-        self._path.unlink(missing_ok=True)
-        self._store = None
+        self._log.discard()
+        self._mirror(None)
 
-    def _require_store(self) -> TableStore:
-        if self._store is None:
+    def _require_open(self) -> None:
+        if self._fingerprint is None:
             raise RuntimeError(
                 "checkpoint not opened — call load(), begin(), or ensure()"
             )
-        return self._store
-
-    def _save(self) -> None:
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        save_table_store(self._require_store(), self._path, atomic=True)
 
     # -- metadata ------------------------------------------------------------
 
-    def _meta(self) -> dict[str, str]:
-        table = self._require_store().get(META_TABLE)
-        return {
-            row["key"]: row["value"]
-            for row in table.rows(partition=META_PARTITION)
-        }
-
     def fingerprint(self) -> str | None:
         """The stored run fingerprint."""
-        return self._meta().get(META_FINGERPRINT)
-
-    def status(self) -> str | None:
-        """``"in-progress"`` or ``"finalized"``."""
-        return self._meta().get(META_STATUS)
+        self._require_open()
+        return self._fingerprint
 
     def is_finalized(self) -> bool:
         """Whether every shard completed and the outputs were merged."""
-        return self.status() == STATUS_FINALIZED
+        self._require_open()
+        return self._finalized
 
     def mark_finalized(self) -> None:
         """Record that the merged outputs were written successfully."""
-        meta = self._meta()
-        meta[META_STATUS] = STATUS_FINALIZED
-        table = self._require_store().get(META_TABLE)
-        table.overwrite_partition(
-            [{"key": key, "value": value}
-             for key, value in sorted(meta.items())],
-            META_PARTITION,
-        )
-        self._save()
+        self._require_open()
+        if not self._finalized:
+            self._log.append({"kind": "finalized"})
+            self._finalized = True
 
     # -- shard progress ------------------------------------------------------
 
     def completed_units(self) -> dict[str, int]:
         """Completed shard units mapped to their ``event_count``."""
-        table = self._require_store().get(MANIFEST_TABLE)
-        if MANIFEST_PARTITION not in table.partitions:
-            return {}
-        return {
-            row["unit"]: row["event_count"]
-            for row in table.rows(partition=MANIFEST_PARTITION)
-        }
+        self._require_open()
+        return {unit: self._shards[unit][0] for unit in sorted(self._shards)}
 
     def record_shard(self, unit: str, vm_columns: Mapping[str, Sequence],
                      event_columns: Mapping[str, Sequence],
                      event_count: int) -> None:
-        """Stage one shard's output columns and persist the manifest.
-
-        Data lands before the manifest row in the same atomic write, so
-        a crash between shards can never mark a shard complete without
-        its staged data.
-        """
-        store = self._require_store()
-        vm_rows = store.get(VM_STAGING_TABLE).overwrite_partition_columns(
-            vm_columns, unit
-        )
-        event_rows = store.get(EVENT_STAGING_TABLE) \
-            .overwrite_partition_columns(event_columns, unit)
-        manifest = store.get(MANIFEST_TABLE)
-        done = [
-            row for row in (
-                manifest.rows(partition=MANIFEST_PARTITION)
-                if MANIFEST_PARTITION in manifest.partitions else []
-            )
-            if row["unit"] != unit
-        ]
-        done.append({
-            "unit": unit, "vm_rows": vm_rows, "event_rows": event_rows,
-            "event_count": event_count,
+        """Validate and durably append one shard's output columns —
+        one sealed record, so the shard is complete on disk exactly
+        when its data is."""
+        self._require_open()
+        vm = self._vm_schema.validated_lists(vm_columns)
+        event = self._event_schema.validated_lists(event_columns)
+        self._log.append({
+            "kind": "shard", "unit": unit, "event_count": event_count,
+            "vm": vm, "event": event,
         })
-        done.sort(key=lambda row: row["unit"])
-        manifest.overwrite_partition(done, MANIFEST_PARTITION)
-        self._save()
+        self._shards[unit] = (event_count, vm, event)
 
     def staged_columns(self, unit: str) -> tuple[dict[str, list],
                                                  dict[str, list]]:
         """One shard's staged ``(vm, event)`` output columns."""
-        store = self._require_store()
-        return (
-            _columns_to_lists(store.get(VM_STAGING_TABLE), unit),
-            _columns_to_lists(store.get(EVENT_STAGING_TABLE), unit),
-        )
+        self._require_open()
+        return self._shards[unit][1:]
 
     def merged_columns(self, units: Sequence[str]) -> tuple[dict[str, list],
                                                             dict[str, list]]:
@@ -292,16 +239,11 @@ class JobCheckpoint:
         With contiguous VM shards, unit-order concatenation reproduces
         the canonical global output order exactly.
         """
-        vm_merged: dict[str, list] = {
-            name: [] for name in self._vm_schema.names
-        }
-        event_merged: dict[str, list] = {
-            name: [] for name in self._event_schema.names
-        }
-        for unit in units:
-            vm_cols, event_cols = self.staged_columns(unit)
-            for name, values in vm_cols.items():
-                vm_merged[name].extend(values)
-            for name, values in event_cols.items():
-                event_merged[name].extend(values)
-        return vm_merged, event_merged
+        staged = [self.staged_columns(unit) for unit in units]
+        return tuple(
+            {name: list(chain.from_iterable(part[side][name]
+                                            for part in staged))
+             for name in schema.names}
+            for side, schema in enumerate((self._vm_schema,
+                                           self._event_schema))
+        )

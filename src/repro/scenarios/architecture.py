@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.events import default_catalog
+from repro.engine.retry import stable_hash
 from repro.scenarios.common import (
     default_weights,
     fleet_cdi,
@@ -86,7 +87,9 @@ def simulate_architecture_comparison(
         for arm_name, fleet in (("homogeneous", homogeneous),
                                 ("hybrid", hybrid)):
             vm_ids = sorted(fleet.vms)
-            injector = FaultInjector(background, seed=day_seed + hash(arm_name) % 97)
+            injector = FaultInjector(
+                background, seed=day_seed + stable_hash(arm_name) % 97
+            )
             faults = injector.sample(vm_ids, 0.0, DAY)
             if arm_name == "hybrid":
                 faults += _contention_faults(

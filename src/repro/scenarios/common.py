@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from repro.core.events import EventCatalog, Severity, default_catalog
+from repro.core.events import EventCatalog, default_catalog
 from repro.core.indicator import (
     CdiCalculator,
     CdiReport,
@@ -105,9 +105,3 @@ def full_day_services(vm_ids: Iterable[str],
                       ) -> dict[str, ServicePeriod]:
     """Every VM in service for one whole day starting at t = 0."""
     return {vm: ServicePeriod(0.0, day_seconds) for vm in vm_ids}
-
-
-def severity_override(period: EventPeriod, level: Severity) -> EventPeriod:
-    """Copy an event period with a different severity."""
-    return EventPeriod(name=period.name, target=period.target,
-                       start=period.start, end=period.end, level=level)

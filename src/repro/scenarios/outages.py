@@ -99,11 +99,6 @@ class OutageScenario:
         """All fleet VM ids, sorted (the canonical iteration order)."""
         return sorted(self.fleet.vms)
 
-    @property
-    def incident_day(self) -> int:
-        """The day the incidents fire (the run's last day)."""
-        return self.days - 1
-
 
 def _outage_fleet(seed: int) -> Fleet:
     """The family fleet: 2 regions × 2 clusters × 3 NCs × 3 VMs.

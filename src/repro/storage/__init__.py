@@ -6,6 +6,8 @@
 * :class:`ConfigDB` — MySQL-like versioned configuration store.
 * :mod:`repro.storage.chunked` — out-of-core chunked v3 files and
   spill-to-disk tables for fleet-scale stores.
+* :class:`RecordLog` — append-only file of self-sealed records, the
+  durable primitive under both checkpoints.
 """
 
 from repro.storage.chunked import (
@@ -35,6 +37,7 @@ from repro.storage.persistence import (
     save_table_store,
     snapshot_table,
 )
+from repro.storage.recordlog import RecordLog
 from repro.storage.schema import Column, Schema, SchemaError
 from repro.storage.table import (
     DEFAULT_PARTITION,
@@ -55,6 +58,7 @@ __all__ = [
     "LazyChunkPartition",
     "LogEntry",
     "LogStore",
+    "RecordLog",
     "Schema",
     "SchemaError",
     "SpillPartition",

@@ -39,6 +39,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.storage.columns import ColumnBlock, ColumnarPartition
+from repro.storage.recordlog import atomic_writer
 from repro.storage.schema import (
     Column,
     Schema,
@@ -67,21 +68,16 @@ def save_table_store_chunked(store: TableStore, path: str | Path, *,
     """Serialize a table store to the chunked v3 JSONL layout.
 
     Output is deterministic (tables/partitions in sorted order, columns
-    in schema order).  ``atomic=True`` writes through a same-directory
-    temp file that is fsynced before ``os.replace``, so a crash
-    mid-save can never leave a half-written file under the target name.
+    in schema order).  ``atomic=True`` writes through
+    :func:`~repro.storage.recordlog.atomic_writer`, so a crash mid-save
+    can never leave a half-written file under the target name.
     """
     if chunk_rows < 1:
         raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
-    target = Path(path)
-    scratch = target.with_name(target.name + ".tmp") if atomic else target
-    with open(scratch, "w", encoding="utf-8") as handle:
+    writer = (atomic_writer(path) if atomic
+              else open(path, "w", encoding="utf-8"))
+    with writer as handle:
         _write_chunked_stream(store, handle, chunk_rows)
-        if atomic:
-            handle.flush()
-            os.fsync(handle.fileno())
-    if atomic:
-        os.replace(scratch, target)
 
 
 def _write_chunked_stream(store: TableStore, handle: Any,

@@ -23,12 +23,15 @@ Three on-disk layouts exist for table stores:
 
 :func:`load_table_store` auto-detects the layout, so existing files
 keep loading after each migration.
+
+Job and stream *checkpoints* are not table-store files but append-only
+sealed record logs (:mod:`repro.storage.recordlog`): a save costs the
+new shard or tick, not a rewrite of the history.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Any
 
@@ -40,6 +43,7 @@ from repro.storage.chunked import (
     save_table_store_chunked,
 )
 from repro.storage.configdb import ConfigDB
+from repro.storage.recordlog import atomic_writer
 from repro.storage.schema import schema_from_dict, schema_to_dict
 from repro.storage.table import Table, TableStore
 
@@ -55,28 +59,6 @@ def _columnar_partition_payload(table: Table, partition: str) -> dict[str, Any]:
             name: block.to_pylist() for name, block in blocks.items()
         },
     }
-
-
-def _write_text(path: str | Path, text: str, atomic: bool) -> None:
-    """Write ``text`` to ``path``, optionally via rename for atomicity.
-
-    Atomic writes go through a same-directory temp file and
-    ``os.replace``, so a reader (or a process killed mid-write) never
-    observes a truncated file — the property checkpoint files rely on.
-    """
-    target = Path(path)
-    if not atomic:
-        target.write_text(text)
-        return
-    scratch = target.with_name(target.name + ".tmp")
-    with open(scratch, "w", encoding="utf-8") as handle:
-        handle.write(text)
-        handle.flush()
-        # Without the fsync, ``os.replace`` can publish a name whose
-        # data blocks are still unflushed — a crash right after the
-        # rename would surface an empty or truncated "atomic" file.
-        os.fsync(handle.fileno())
-    os.replace(scratch, target)
 
 
 def save_table_store(store: TableStore, path: str | Path, *,
@@ -109,12 +91,15 @@ def save_table_store(store: TableStore, path: str | Path, *,
                 for partition in table.partitions
             },
         }
-    _write_text(path, json.dumps({
-        "format": STORE_FORMAT,
-        "version": COLUMNAR_VERSION,
-        "layout": "columnar",
-        "tables": tables,
-    }), atomic)
+    writer = (atomic_writer(path) if atomic
+              else open(path, "w", encoding="utf-8"))
+    with writer as handle:
+        handle.write(json.dumps({
+            "format": STORE_FORMAT,
+            "version": COLUMNAR_VERSION,
+            "layout": "columnar",
+            "tables": tables,
+        }))
 
 
 def _load_columnar_store(payload: dict[str, Any],

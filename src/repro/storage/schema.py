@@ -200,6 +200,13 @@ class Schema:
                 )
         return blocks, length
 
+    def validated_lists(self, columns: Mapping[str, Sequence[Any]]
+                        ) -> dict[str, list]:
+        """:meth:`validate_columns`, as plain (widened) value lists —
+        the JSON-ready form checkpoint records carry."""
+        blocks, _ = self.validate_columns(columns)
+        return {name: block.to_pylist() for name, block in blocks.items()}
+
 
 #: dtype ↔ on-disk name mapping shared by every persistence layout.
 DTYPE_NAMES: Mapping[type, str] = {

@@ -15,25 +15,12 @@ the differential harness in ``tests/streaming``.
 """
 
 from repro.streaming.extract import StreamingExtractor, event_record
-from repro.streaming.persist import (
-    BUFFER_TABLE,
-    CURSOR_TABLE,
-    ROWS_TABLE,
-    STATE_PARTITION,
-    StreamCheckpoint,
-    StreamSnapshot,
-    buffer_schema,
-    cursor_schema,
-)
+from repro.streaming.persist import StreamCheckpoint, StreamSnapshot
 from repro.streaming.pipeline import StreamingCdiPipeline, TickResult
 from repro.streaming.state import IncrementalCdiState
 from repro.streaming.tailer import LogTailer
 
 __all__ = [
-    "BUFFER_TABLE",
-    "CURSOR_TABLE",
-    "ROWS_TABLE",
-    "STATE_PARTITION",
     "IncrementalCdiState",
     "LogTailer",
     "StreamCheckpoint",
@@ -41,7 +28,5 @@ __all__ = [
     "StreamingCdiPipeline",
     "StreamingExtractor",
     "TickResult",
-    "buffer_schema",
-    "cursor_schema",
     "event_record",
 ]

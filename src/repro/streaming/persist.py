@@ -1,62 +1,38 @@
-"""Durable stream checkpoints in the v3 chunked table-store format.
+"""Durable stream checkpoints as an append-only sealed record log.
 
-One atomic file holds everything a crashed streaming loop needs to
+One regular file holds everything a crashed streaming loop needs to
 resume exactly: the tailer cursor + watermark + counters, the ordered
 log of every applied events-table row (replayed through a fresh
 :class:`~repro.streaming.state.IncrementalCdiState` on resume), and
-the reordering buffer's pending records.  The file is a regular
-:func:`~repro.storage.persistence.save_table_store` v3 chunked store
-written atomically (temp + fsync + rename), so a kill mid-save leaves
-the previous checkpoint intact and a reader never observes a torn
-file — the same durability protocol as the batch job checkpoints.
+the reordering buffer's pending records.  The file is a
+:class:`~repro.storage.recordlog.RecordLog`, like the batch job
+checkpoints: a full ``snapshot`` record written atomically (temp +
+fsync + rename), then one fsynced ``tick`` record per save carrying the
+cursor fields, the rows applied *since the previous save*, and the
+(bounded) reordering buffer — a tick's checkpoint costs that tick, not
+the day so far.  A kill mid-append leaves a torn last record that the
+next load ignores and the next save truncates: the stream resumes from
+the previous tick, as if the save had never started.
 
-A ``fingerprint`` column ties the checkpoint to its stream's inputs
-(partition, services, weight-config version, lateness); resuming
-against a different stream raises instead of silently merging state.
+The snapshot's ``fingerprint`` ties the checkpoint to its stream's
+inputs (partition, services, weight-config version, lateness);
+resuming against a different stream raises instead of silently
+merging state.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from repro.pipeline.tables import events_schema
 from repro.storage.logstore import LogEntry
-from repro.storage.persistence import load_table_store, save_table_store
-from repro.storage.schema import Column, Schema
-from repro.storage.table import TableStore
+from repro.storage.recordlog import RecordLog
 
-#: Table names inside a checkpoint store.
-CURSOR_TABLE = "stream_cursor"
-ROWS_TABLE = "stream_rows"
-BUFFER_TABLE = "stream_buffer"
-
-#: Single partition every checkpoint table writes into.
-STATE_PARTITION = "state"
-
-
-def cursor_schema() -> Schema:
-    """One-row table: tailer cursor, watermark, and loop counters."""
-    return Schema([
-        Column("fingerprint", str),
-        Column("last_seq", int),
-        Column("watermark", float, nullable=True),
-        Column("ticks", int),
-        Column("consumed", int),
-        Column("late_dropped", int),
-        Column("ignored", int),
-    ])
-
-
-def buffer_schema() -> Schema:
-    """Pending reordering-buffer records: seq, time, JSON fields."""
-    return Schema([
-        Column("seq", int),
-        Column("time", float),
-        Column("fields", str),
-    ])
+_CURSOR_FIELDS = ("last_seq", "watermark", "ticks", "consumed",
+                  "late_dropped", "ignored")
+_ROWS_SCHEMA = events_schema()
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,96 +51,97 @@ class StreamSnapshot:
 
 
 class StreamCheckpoint:
-    """Atomic save/load of :class:`StreamSnapshot` at one path."""
+    """Save/load of :class:`StreamSnapshot` at one path (single writer).
+
+    The first :meth:`save` of an object that has not :meth:`load`-ed the
+    file replaces it with a full snapshot — also how a log is
+    compacted; every later save appends the delta.
+    """
 
     def __init__(self, path: str | Path) -> None:
-        self._path = Path(path)
+        self._log = RecordLog(path)
+        self._fingerprint: str | None = None
+        self._persisted = 0  # rows of the row log already in the file
 
     @property
     def path(self) -> Path:
         """The checkpoint file location."""
-        return self._path
+        return self._log.path
 
     def exists(self) -> bool:
         """Whether a checkpoint file is present."""
-        return self._path.exists()
+        return self.path.exists()
 
     def save(self, snapshot: StreamSnapshot) -> None:
-        """Write the snapshot atomically (fsync + rename)."""
-        store = TableStore()
-        cursor = store.create(CURSOR_TABLE, cursor_schema())
-        cursor.append([{
-            "fingerprint": snapshot.fingerprint,
-            "last_seq": snapshot.last_seq,
-            "watermark": snapshot.watermark,
-            "ticks": snapshot.ticks,
-            "consumed": snapshot.consumed,
-            "late_dropped": snapshot.late_dropped,
-            "ignored": snapshot.ignored,
-        }], STATE_PARTITION)
-        rows = store.create(ROWS_TABLE, events_schema())
-        if snapshot.rows:
-            rows.append(
-                [dict(row) for row in snapshot.rows], STATE_PARTITION
-            )
-        buffer = store.create(BUFFER_TABLE, buffer_schema())
-        if snapshot.buffer:
-            buffer.append([
-                {
-                    "seq": seq,
-                    "time": entry.time,
-                    "fields": json.dumps(
-                        dict(entry.fields), sort_keys=True
-                    ),
-                }
+        """Durably record the snapshot (one fsync).
+
+        ``snapshot.rows`` is an append-only log: the rows past what the
+        file holds are appended; a snapshot that does not extend the
+        file (first save, another stream's fingerprint, a shorter row
+        log) rewrites it atomically instead.
+        """
+        extends = (snapshot.fingerprint == self._fingerprint
+                   and len(snapshot.rows) >= self._persisted)
+        fresh = snapshot.rows[self._persisted if extends else 0:]
+        record = {
+            "kind": "tick" if extends else "snapshot",
+            **{name: getattr(snapshot, name) for name in _CURSOR_FIELDS},
+            "rows": _ROWS_SCHEMA.validated_lists({
+                name: [row.get(name) for row in fresh]
+                for name in _ROWS_SCHEMA.names
+            }),
+            "buffer": [
+                [seq, entry.time, dict(entry.fields)]
                 for seq, entry in snapshot.buffer
-            ], STATE_PARTITION)
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        save_table_store(
-            store, self._path, layout="chunked", atomic=True
-        )
+            ],
+        }
+        if extends:
+            self._log.append(record)
+        else:
+            self._log.create({**record, "fingerprint": snapshot.fingerprint})
+            self._fingerprint = snapshot.fingerprint
+        self._persisted = len(snapshot.rows)
 
     def load(self) -> StreamSnapshot | None:
-        """Read the latest snapshot, or ``None`` if none was saved."""
-        if not self._path.exists():
+        """Replay the latest intact state, or ``None`` if no file exists.
+
+        A file that does not start with an intact snapshot record — a
+        damaged header, or a checkpoint in the chunked table-store
+        format written before the log existed — raises ``ValueError``:
+        stream state is never silently discarded.
+        """
+        if not self.exists():
             return None
-        store = load_table_store(self._path)
-        cursor_rows = store.get(CURSOR_TABLE).rows(
-            partition=STATE_PARTITION
-        )
-        if len(cursor_rows) != 1:
+        records = self._log.replay()
+        if not records or records[0].get("kind") != "snapshot":
             raise ValueError(
-                f"corrupt stream checkpoint {self._path}: expected one "
-                f"cursor row, found {len(cursor_rows)}"
+                f"unsupported stream checkpoint format in {self.path}: "
+                "expected a sealed record log starting with a snapshot "
+                "record (pre-log chunked table-store checkpoints cannot "
+                "be resumed)"
             )
-        cursor = cursor_rows[0]
-        rows_table = store.get(ROWS_TABLE)
-        rows = (
-            rows_table.rows(partition=STATE_PARTITION)
-            if STATE_PARTITION in rows_table.partitions else []
-        )
-        buffer_table = store.get(BUFFER_TABLE)
-        buffer_rows = (
-            buffer_table.rows(partition=STATE_PARTITION)
-            if STATE_PARTITION in buffer_table.partitions else []
-        )
-        buffer = [
-            (
-                row["seq"],
-                LogEntry(
-                    time=row["time"], fields=json.loads(row["fields"])
-                ),
+        try:
+            columns: dict[str, list] = {n: [] for n in _ROWS_SCHEMA.names}
+            for record in records:
+                delta = _ROWS_SCHEMA.validated_lists(record["rows"])
+                for name, values in delta.items():
+                    columns[name].extend(values)
+            last = records[-1]
+            snapshot = StreamSnapshot(
+                fingerprint=str(records[0]["fingerprint"]),
+                **{name: last[name] for name in _CURSOR_FIELDS},
+                rows=[dict(zip(columns, values))
+                      for values in zip(*columns.values())],
+                buffer=[
+                    (int(seq), LogEntry(time=float(time), fields=fields))
+                    for seq, time, fields in last["buffer"]
+                ],
             )
-            for row in buffer_rows
-        ]
-        return StreamSnapshot(
-            fingerprint=cursor["fingerprint"],
-            last_seq=cursor["last_seq"],
-            watermark=cursor["watermark"],
-            ticks=cursor["ticks"],
-            consumed=cursor["consumed"],
-            late_dropped=cursor["late_dropped"],
-            ignored=cursor["ignored"],
-            rows=rows,
-            buffer=buffer,
-        )
+        except (KeyError, TypeError) as error:
+            raise ValueError(
+                f"malformed record in stream checkpoint {self.path}: "
+                f"{error!r}"
+            ) from None
+        self._fingerprint = snapshot.fingerprint
+        self._persisted = len(snapshot.rows)
+        return snapshot

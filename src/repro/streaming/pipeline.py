@@ -14,8 +14,8 @@ driving the CDI state online.  Each :meth:`tick`:
    state (:class:`~repro.streaming.state.IncrementalCdiState`), and
    optionally **matches** the tick's events against a
    :class:`~repro.cloudbot.rules.RuleEngine`;
-4. **checkpoints** the whole stream state atomically
-   (:class:`~repro.streaming.persist.StreamCheckpoint`), *then*
+4. **checkpoints** the stream state — one sealed record, appended and
+   fsynced (:class:`~repro.streaming.persist.StreamCheckpoint`), *then*
 5. **publishes** the refreshed rollup columns into the serving tables
    through ``overwrite_partition_columns`` — the generation-stamped
    publish primitive, so a concurrent reader sees the old rollup or
@@ -41,17 +41,14 @@ from repro.core.indicator import CdiReport, ServicePeriod
 from repro.core.fastpath import ResolverIndex, WeightTable
 from repro.core.weights import WeightConfig
 from repro.pipeline.checkpoint import job_fingerprint
-from repro.pipeline.daily import (
-    WEIGHTS_CONFIG_KEY,
-    event_to_row,
-    fleet_report_from_columns,
-)
+from repro.pipeline.daily import WEIGHTS_CONFIG_KEY, event_to_row
 from repro.pipeline.tables import (
     EVENT_CDI_TABLE,
     VM_CDI_TABLE,
     event_cdi_schema,
     vm_cdi_schema,
 )
+from repro.serving.rollups import CATEGORIES, report_from_arrays
 from repro.storage.configdb import ConfigDB
 from repro.storage.logstore import LogEntry, LogStore
 from repro.storage.table import TableStore
@@ -169,11 +166,6 @@ class StreamingCdiPipeline:
         """The incremental CDI state being maintained."""
         return self._state
 
-    @property
-    def applied_rows(self) -> list[dict[str, Any]]:
-        """Every applied events-table row, in applied order (a copy)."""
-        return list(self._rows_log)
-
     # -- the loop -----------------------------------------------------------
 
     def resume(self) -> bool:
@@ -255,7 +247,8 @@ class StreamingCdiPipeline:
         )
 
     def _persist(self) -> None:
-        """Checkpoint the full stream state (before publishing)."""
+        """Checkpoint the stream state (before publishing); of the full
+        snapshot the checkpoint persists only what its file lacks."""
         if self._checkpoint is None:
             return
         self._checkpoint.save(StreamSnapshot(
@@ -279,10 +272,14 @@ class StreamingCdiPipeline:
         ``GenerationCache`` snapshots against.
         """
         vm_columns, event_columns = self._state.snapshot_columns()
-        self._tables.get(VM_CDI_TABLE).overwrite_partition_columns(
-            vm_columns, self._partition
-        )
+        vm_table = self._tables.get(VM_CDI_TABLE)
+        vm_table.overwrite_partition_columns(vm_columns, self._partition)
         self._tables.get(EVENT_CDI_TABLE).overwrite_partition_columns(
             event_columns, self._partition
         )
-        return fleet_report_from_columns(vm_columns)
+        # Formula 4 over the typed blocks just published (the serving
+        # kernel: float-identical to the row loop, no per-VM Python pass).
+        blocks = vm_table.columns(self._partition)
+        return report_from_arrays(*(
+            blocks[name].values for name in ("service_time", *CATEGORIES)
+        ))

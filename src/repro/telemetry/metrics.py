@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.engine.retry import stable_hash
 from repro.telemetry.faults import Fault, FaultKind
 
 #: Metric name conventions used by the extractor's expert rules.
@@ -137,7 +138,7 @@ class MetricGenerator:
         # Per-(target, metric) substream so regeneration is stable and
         # targets are independent.
         rng = np.random.default_rng(
-            abs(hash((self._seed, target, metric))) % (2**32)
+            stable_hash((self._seed, target, metric)) % (2**32)
         )
         values = healthy_series(spec, times, rng)
         for fault in faults:

@@ -16,6 +16,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from repro.engine.retry import stable_hash
 from repro.telemetry.faults import Fault, FaultKind
 
 
@@ -92,7 +93,7 @@ class PowerTelemetry:
 
     def _core_series(self, node_id: str, times: np.ndarray) -> np.ndarray:
         rng = np.random.default_rng(
-            abs(hash((self._seed, node_id))) % (2**32)
+            stable_hash((self._seed, node_id)) % (2**32)
         )
         phase = 2.0 * np.pi * (times % 86400.0) / 86400.0
         seasonal = self._core_amplitude * np.sin(phase - np.pi / 2)

@@ -13,8 +13,10 @@ The ISSUE's headline deliverable.  Three claims are proven here:
   :class:`~repro.storage.table.Table` subclass) and still produces
   byte-identical outputs; a finalized checkpoint replays without
   rescanning any events.
-* **Manifest durability** — checkpoint files are a save→load→save
-  fixed point (byte equality), so resume never degrades state.
+* **Log durability** — loading a checkpoint and replaying what was
+  loaded into a fresh checkpoint reproduces the file byte for byte, so
+  resume never degrades state.  (Torn tails, flipped bytes and pre-log
+  files are ``test_checkpoint_log.py``'s.)
 
 The chaos seed matrix honours ``REPRO_CHAOS_SEED`` so CI can fan the
 suite out one seed per matrix job; locally all default seeds run.
@@ -46,8 +48,8 @@ from repro.pipeline.tables import (
     event_cdi_schema,
 )
 from repro.storage.configdb import ConfigDB
+from repro.storage import recordlog
 from repro.storage.logstore import LogStore
-from repro.storage.persistence import load_table_store, save_table_store
 from repro.storage.table import Table, TableStore
 from repro.streaming import StreamCheckpoint
 
@@ -425,15 +427,16 @@ vm_rows_st = st.lists(
 )
 
 
-class TestManifestFixedPoint:
-    """Hypothesis property: checkpoint save → load → save is a byte
-    fixed point, for arbitrary staged shard contents."""
+class TestLogFixedPoint:
+    """Hypothesis property: load a checkpoint, replay what was loaded
+    into a fresh checkpoint, and the two files are byte-identical — for
+    arbitrary staged shard contents."""
 
     @given(shard_data=st.lists(vm_rows_st, min_size=1, max_size=4),
            data=st.data())
     @settings(max_examples=25, deadline=None)
-    def test_save_load_save_fixed_point(self, tmp_path_factory,
-                                        shard_data, data):
+    def test_load_replay_is_byte_identical(self, tmp_path_factory,
+                                           shard_data, data):
         tmp_path = tmp_path_factory.mktemp("fixedpoint")
         path = tmp_path / "ck.json"
         checkpoint = JobCheckpoint(path)
@@ -451,17 +454,18 @@ class TestManifestFixedPoint:
                                     event_columns, event_count=len(rows))
         if data.draw(st.booleans()):
             checkpoint.mark_finalized()
+            checkpoint.mark_finalized()  # a replay's second call adds nothing
 
-        original = path.read_bytes()
-        reloaded = load_table_store(path)
-        save_table_store(reloaded, tmp_path / "resaved.json", atomic=True)
-        assert (tmp_path / "resaved.json").read_bytes() == original
-
-        # And the JobCheckpoint layer itself round-trips losslessly.
-        second = JobCheckpoint(path)
-        assert second.load()
-        second._save()
-        assert path.read_bytes() == original
+        loaded = JobCheckpoint(path)
+        assert loaded.load()
+        replayed = JobCheckpoint(tmp_path / "replayed.json")
+        replayed.begin(loaded.fingerprint(), PARTITION)
+        for unit, event_count in loaded.completed_units().items():
+            replayed.record_shard(unit, *loaded.staged_columns(unit),
+                                  event_count)
+        if loaded.is_finalized():
+            replayed.mark_finalized()
+        assert replayed.path.read_bytes() == path.read_bytes()
 
 
 class TestBackfillCheckpointed:
@@ -532,6 +536,36 @@ class TestBackfillCheckpointed:
         for partition in resumed.partitions:
             assert output_bytes(resumed_job, partition) == \
                 output_bytes(reference_job, partition)
+        # Kill → resume → finalize leaves exactly the checkpoint files.
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["day00.ckpt.json", "day01.ckpt.json"]
+        for name in ("day00", "day01"):
+            checkpoint = JobCheckpoint(tmp_path / f"{name}.ckpt.json")
+            assert checkpoint.load() and checkpoint.is_finalized()
+            checkpoint.discard()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_finalized_replay_reads_each_checkpoint_once(self, tmp_path,
+                                                         monkeypatch):
+        """``run_days`` opens a day's checkpoint to see whether it can
+        be replayed; ``run_checkpointed`` must then use that opened
+        checkpoint as is, not parse the file a second time."""
+        services = make_services(vm_count=12)
+        run_days(make_job([]), self._events_for_day, services, days=2,
+                 checkpoint_dir=tmp_path, shards=4)
+
+        reads = []
+
+        def counting_open(path, mode="r", *args, **kwargs):
+            if mode == "rb":
+                reads.append(os.path.basename(path))
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(recordlog, "open", counting_open, raising=False)
+        rerun = run_days(make_job([]), self._events_for_day, services,
+                         days=2, checkpoint_dir=tmp_path, shards=4)
+        assert reads == ["day00.ckpt.json", "day01.ckpt.json"]
+        assert len(rerun.job_results) == 2
 
 
 class TestTraceCompleteness:
