@@ -58,6 +58,7 @@ from repro.control.scorecard import ActionOutcome, IncidentOutcome, Scorecard
 from repro.core.events import Event, EventCategory, default_catalog
 from repro.core.indicator import CdiReport, ServicePeriod
 from repro.engine.dataset import EngineContext
+from repro.pipeline.backfill import day_partitions
 from repro.pipeline.daily import DailyCdiJob
 from repro.scenarios.common import default_weights, fault_to_period
 from repro.storage.configdb import ConfigDB
@@ -187,13 +188,12 @@ class ClosedLoopController:
 
     def run(self) -> Scorecard:
         """Tick through every scenario day and score the run."""
-        for day in range(self._scenario.days):
-            self._tick(day)
+        for day, partition in enumerate(day_partitions(self._scenario.days)):
+            self._tick(day, partition)
         return self._scorecard()
 
-    def _tick(self, day: int) -> None:
+    def _tick(self, day: int, partition: str) -> None:
         """One day: telemetry → CDI job → evaluate due → detect/act."""
-        partition = f"day{day:02d}"
         labeled = labeled_day_faults(
             self._scenario.vm_ids, self._scenario.rates, day,
             seed=self._scenario.seed,

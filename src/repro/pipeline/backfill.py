@@ -34,10 +34,13 @@ class BackfillResult:
 
 
 def day_partitions(days: int, prefix: str = "day") -> list[str]:
-    """Stable zero-padded partition labels: day00, day01, ..."""
+    """Zero-padded partition labels — day00, day01, ... — that sort
+    chronologically: two digits, or as many as the last index needs
+    (the serving layer orders and ranges days by label)."""
     if days < 1:
         raise ValueError(f"days must be >= 1, got {days}")
-    return [f"{prefix}{index:02d}" for index in range(days)]
+    width = max(2, len(str(days - 1)))
+    return [f"{prefix}{index:0{width}d}" for index in range(days)]
 
 
 def run_days(

@@ -657,7 +657,7 @@ class DailyCdiJob:
         """Algorithm 1 executed literally, per VM per category per name."""
         rows = [
             row for row in self._tables.get(EVENTS_TABLE).rows(
-                partition=partition, copy=False
+                partition=partition
             )
             if row["target"] in services
         ]

@@ -38,6 +38,7 @@ from repro.analytics.rca import localize, vm_damage_leaves
 from repro.core.events import Event, EventCategory, default_catalog
 from repro.core.indicator import ServicePeriod
 from repro.engine.dataset import EngineContext
+from repro.pipeline.backfill import day_partitions
 from repro.pipeline.daily import DailyCdiJob
 from repro.pipeline.tables import EVENTS_TABLE
 from repro.scenarios.common import default_weights, fault_to_period
@@ -161,8 +162,7 @@ def run_scenario(scenario: OutageScenario) -> dict[str, Any]:
     interruptions_daily: list[int] = []
     cdi_daily: dict[str, list[float]] = {key: [] for key, _ in CDI_METRICS}
     vm_rows: list[list[dict[str, Any]]] = []
-    for day in range(scenario.days):
-        partition = f"day{day:02d}"
+    for day, partition in enumerate(day_partitions(scenario.days)):
         labeled = labeled_day_faults(
             scenario.vm_ids, scenario.rates, day, seed=scenario.seed,
             incidents=scenario.incidents,

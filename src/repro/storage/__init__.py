@@ -4,19 +4,15 @@
 * :class:`Table` / :class:`TableStore` — MaxCompute-like partitioned
   tables with schema validation.
 * :class:`ConfigDB` — MySQL-like versioned configuration store.
-* :mod:`repro.storage.chunked` — out-of-core chunked v3 files and
-  spill-to-disk tables for fleet-scale stores.
+* :class:`SpillTable` — a table whose partitions spill to a scratch
+  spool file under memory pressure (out-of-core ingest).
 * :class:`RecordLog` — append-only file of self-sealed records, the
   durable primitive under both checkpoints.
-"""
 
-from repro.storage.chunked import (
-    LazyChunkPartition,
-    SpillPartition,
-    SpillTable,
-    load_table_store_chunked,
-    save_table_store_chunked,
-)
+Two things ever reach disk: the record log (durable — sealed, fsynced,
+created atomically) and the spool (process-private scratch — unsealed,
+deleted with its partition).  There is no whole-store file format.
+"""
 
 from repro.storage.columns import (
     ColumnBatch,
@@ -30,15 +26,9 @@ from repro.storage.configdb import (
     StaleVersionError,
 )
 from repro.storage.logstore import LogEntry, LogStore
-from repro.storage.persistence import (
-    load_config_db,
-    load_table_store,
-    save_config_db,
-    save_table_store,
-    snapshot_table,
-)
 from repro.storage.recordlog import RecordLog
 from repro.storage.schema import Column, Schema, SchemaError
+from repro.storage.spill import SpillPartition, SpillTable
 from repro.storage.table import (
     DEFAULT_PARTITION,
     Table,
@@ -55,7 +45,6 @@ __all__ = [
     "ConfigDB",
     "ConfigNotFoundError",
     "ConfigRecord",
-    "LazyChunkPartition",
     "LogEntry",
     "LogStore",
     "RecordLog",
@@ -67,11 +56,4 @@ __all__ = [
     "Table",
     "TableNotFoundError",
     "TableStore",
-    "load_config_db",
-    "load_table_store",
-    "load_table_store_chunked",
-    "save_config_db",
-    "save_table_store",
-    "save_table_store_chunked",
-    "snapshot_table",
 ]

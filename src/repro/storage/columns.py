@@ -105,7 +105,7 @@ class ColumnBlock:
     ``-1`` at null slots) plus a ``dictionary`` tuple instead of a
     materialized object array; ``values`` then decodes lazily on first
     access, so code-aware consumers (slicing, concatenation,
-    :func:`factorize_block`, the chunked persistence writer) never pay
+    :func:`factorize_block`, the spill writer) never pay
     for Python string materialization.
     """
 

@@ -33,8 +33,8 @@ _SEAL = re.compile(rb"([0-9a-f]{8}) ([0-9a-f]{8}) ")
 
 
 @contextmanager
-def atomic_writer(path: str | Path, mode: str = "w") -> Iterator[IO[Any]]:
-    """Open a same-directory temp file that replaces ``path`` on success.
+def atomic_writer(path: str | Path) -> Iterator[IO[bytes]]:
+    """Open a same-directory temp file (binary) that replaces ``path`` on success.
 
     Fsynced before ``os.replace`` (else the rename can publish a name
     whose data blocks are still unflushed), so a reader or a process
@@ -42,8 +42,7 @@ def atomic_writer(path: str | Path, mode: str = "w") -> Iterator[IO[Any]]:
     """
     target = Path(path)
     scratch = target.with_name(target.name + ".tmp")
-    encoding = None if "b" in mode else "utf-8"
-    with open(scratch, mode, encoding=encoding) as handle:
+    with open(scratch, "wb") as handle:
         yield handle
         handle.flush()
         os.fsync(handle.fileno())
@@ -100,7 +99,7 @@ class RecordLog:
         """Atomically replace the file with a log holding ``record``."""
         self._path.parent.mkdir(parents=True, exist_ok=True)
         data = seal(record)
-        with atomic_writer(self._path, "wb") as handle:
+        with atomic_writer(self._path) as handle:
             handle.write(data)
         self._end = len(data)
 

@@ -106,17 +106,6 @@ class Schema:
         self._names_set = frozenset(names)
         self._batch_validator = _batch_validator_for(self.columns)
 
-    def __getstate__(self) -> dict[str, Any]:
-        # The compiled batch validator is module-less and unpicklable;
-        # drop it and recompile on restore.
-        state = self.__dict__.copy()
-        del state["_batch_validator"]
-        return state
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._batch_validator = _batch_validator_for(self.columns)
-
     @property
     def names(self) -> tuple[str, ...]:
         """Column names in declaration order."""
@@ -206,38 +195,6 @@ class Schema:
         the JSON-ready form checkpoint records carry."""
         blocks, _ = self.validate_columns(columns)
         return {name: block.to_pylist() for name, block in blocks.items()}
-
-
-#: dtype ↔ on-disk name mapping shared by every persistence layout.
-DTYPE_NAMES: Mapping[type, str] = {
-    str: "str", int: "int", float: "float", bool: "bool",
-}
-_DTYPES_BY_NAME = {name: dtype for dtype, name in DTYPE_NAMES.items()}
-
-
-def schema_to_dict(schema: Schema) -> list[dict[str, Any]]:
-    """Serialize a schema to the JSON column list used on disk."""
-    columns = []
-    for column in schema.columns:
-        name = DTYPE_NAMES.get(column.dtype)
-        if name is None:
-            raise SchemaError(
-                f"column {column.name!r} has non-serializable dtype "
-                f"{column.dtype!r}"
-            )
-        columns.append({
-            "name": column.name, "dtype": name, "nullable": column.nullable,
-        })
-    return columns
-
-
-def schema_from_dict(data: list[dict[str, Any]]) -> Schema:
-    """Inverse of :func:`schema_to_dict`."""
-    return Schema([
-        Column(entry["name"], _DTYPES_BY_NAME[entry["dtype"]],
-               nullable=bool(entry.get("nullable", False)))
-        for entry in data
-    ])
 
 
 #: Compiled validators memoized by column signature: the pipeline

@@ -184,18 +184,6 @@ class Table:
         self._bump_generation(partition)
         return length
 
-    def attach_partition(self, partition: str,
-                         stored: ColumnarPartition) -> None:
-        """Install a pre-built partition object (loader hook).
-
-        The chunked persistence loader attaches lazily-materializing
-        partitions here instead of round-tripping values through the
-        validators eagerly; ``stored`` must already match the table
-        schema.  Counts as a mutation of ``partition``.
-        """
-        self._partitions[partition] = stored
-        self._bump_generation(partition)
-
     def drop_partition(self, partition: str) -> None:
         """Remove one partition; missing partitions are a no-op."""
         if self._partitions.pop(partition, None) is not None:
@@ -220,15 +208,12 @@ class Table:
         return self._partitions[partition].blocks(names)
 
     def scan(self, predicate: Callable[[Mapping[str, Any]], bool] | None = None,
-             partition: str | None = None, *,
-             copy: bool = True) -> Iterator[dict[str, Any]]:
+             partition: str | None = None) -> Iterator[dict[str, Any]]:
         """Iterate rows, optionally pruned to one partition and filtered.
 
         Rows are reconstructed from the column blocks, so every yielded
-        dict is a fresh object the caller may keep (``copy`` is retained
-        for API compatibility; both values behave identically now).
+        dict is a fresh object the caller may keep.
         """
-        del copy  # rows are always materialized fresh from columns
         if partition is not None:
             keys = [partition] if partition in self._partitions else []
         else:
@@ -242,10 +227,9 @@ class Table:
                 if predicate is None or predicate(row):
                     yield row
 
-    def rows(self, partition: str | None = None, *,
-             copy: bool = True) -> list[dict[str, Any]]:
-        """All rows (of a partition) as a list (``copy`` as in :meth:`scan`)."""
-        return list(self.scan(partition=partition, copy=copy))
+    def rows(self, partition: str | None = None) -> list[dict[str, Any]]:
+        """All rows (of a partition) as a list."""
+        return list(self.scan(partition=partition))
 
     def count(self, partition: str | None = None) -> int:
         """Row count, optionally for one partition."""

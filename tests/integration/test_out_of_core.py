@@ -3,8 +3,7 @@
 The fleet-scale ingestion path (events spilled to disk per VM-shard
 partition, computed shard by shard with ``sharded_events=True``) must
 be invisible in the outputs: both compute paths (columnar and the
-reference oracle) produce tables byte-identical to a plain whole-day :meth:`DailyCdiJob.run`, and the
-chunked v3 persistence of those outputs round-trips losslessly.
+reference oracle) produce tables byte-identical to a plain whole-day :meth:`DailyCdiJob.run`.
 """
 
 import json
@@ -20,7 +19,6 @@ from repro.pipeline.daily import DailyCdiJob
 from repro.pipeline.tables import EVENTS_TABLE, events_schema
 from repro.storage import SpillTable
 from repro.storage.configdb import ConfigDB
-from repro.storage.persistence import load_table_store, save_table_store
 from repro.storage.table import TableStore
 from repro.telemetry.fleetgen import split_fleet
 
@@ -137,28 +135,3 @@ class TestOutOfCoreDifferential:
                                              shards=SHARDS,
                                              sharded_events=True)
         assert plain != sharded
-
-    def test_outputs_survive_chunked_persistence(self, tmp_path, fleet,
-                                                 plain_outputs):
-        """Spill-staged compute → v3 save → lazy load → identical rows,
-        and a v2 re-save of the lazy store is byte-stable."""
-        events, services = fleet
-        store, _ = spill_store(tmp_path)
-        job = make_job(store)
-        ingest_sharded(job, events, services)
-        job.run_checkpointed(
-            PARTITION, services,
-            checkpoint=JobCheckpoint(tmp_path / "ck.json"),
-            shards=SHARDS, sharded_events=True,
-        )
-        path = tmp_path / "store.v3.jsonl"
-        save_table_store(store, path, layout="chunked", chunk_rows=7)
-        restored = load_table_store(path)
-        for name in ("vm_cdi", "event_cdi"):
-            assert (restored.get(name).rows(partition=PARTITION)
-                    == store.get(name).rows(partition=PARTITION))
-        direct = tmp_path / "direct.json"
-        lazy = tmp_path / "lazy.json"
-        save_table_store(store, direct)
-        save_table_store(restored, lazy)
-        assert direct.read_bytes() == lazy.read_bytes()

@@ -147,7 +147,7 @@ class TestAtomicWriter:
         target = tmp_path / "t.json"
         target.write_text("old")
         with atomic_writer(target) as handle:
-            handle.write(json.dumps({"new": True}))
+            handle.write(json.dumps({"new": True}).encode())
             assert target.read_text() == "old"  # not visible until close
         assert json.loads(target.read_text()) == {"new": True}
         assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
@@ -156,7 +156,7 @@ class TestAtomicWriter:
         target = tmp_path / "t.bin"
         target.write_bytes(b"old")
         with pytest.raises(RuntimeError):
-            with atomic_writer(target, "wb") as handle:
+            with atomic_writer(target) as handle:
                 handle.write(b"half")
                 raise RuntimeError("killed mid-write")
         assert target.read_bytes() == b"old"
