@@ -708,13 +708,6 @@ def _rows_to_columns(rows: list[dict[str, Any]],
     return {name: [row[name] for row in rows] for name in names}
 
 
-def _columns_to_rows(columns: Mapping[str, list],
-                     names: Sequence[str]) -> list[dict[str, Any]]:
-    """Column value lists → row dicts, preserving row order."""
-    return [dict(zip(names, values))
-            for values in zip(*(columns[name] for name in names))]
-
-
 #: Deterministic output orders (C-level key extraction for the sorts).
 _vm_row_key = itemgetter("vm")
 _event_row_key = itemgetter("vm", "event")

@@ -59,6 +59,16 @@ def _object_array(values: Sequence[Any]) -> np.ndarray:
     return arr
 
 
+def _sealed(arr: np.ndarray | None) -> np.ndarray | None:
+    """``arr`` read-only and aliasing nothing writeable: an owner is
+    frozen in place (its builder hands it over), a live view is copied."""
+    if arr is not None and (arr.flags.writeable or (
+            isinstance(arr.base, np.ndarray) and arr.base.flags.writeable)):
+        arr = arr if arr.base is None else arr.copy()
+        arr.flags.writeable = False
+    return arr
+
+
 def try_dictionary_encode(
     values: Sequence[Any], *, limit: int | None = None
 ) -> tuple[np.ndarray, tuple[str, ...]] | None:
@@ -98,8 +108,9 @@ class ColumnBlock:
     ``values`` holds the typed data (masked slots carry a fill value);
     ``null_mask`` is a parallel boolean array with ``True`` where the
     logical value is null, or ``None`` for columns without nulls.
-    Sealed arrays are marked read-only — callers get zero-copy views
-    of the store and must not mutate them.
+    Sealed arrays are read-only and alias nothing writeable (see
+    :func:`_sealed`): readers get zero-copy views of the store that
+    nothing a writer still holds can change.
 
     Dictionary-encoded string blocks store ``codes`` (``int32``, with
     ``-1`` at null slots) plus a ``dictionary`` tuple instead of a
@@ -114,17 +125,14 @@ class ColumnBlock:
     def __init__(self, values: np.ndarray | None,
                  null_mask: np.ndarray | None = None, *,
                  codes: np.ndarray | None = None,
-                 dictionary: tuple[str, ...] | None = None) -> None:
+                 dictionary: Sequence[str] | None = None) -> None:
         if values is None and codes is None:
             raise ValueError("a block needs values or codes")
-        self._values = values
-        self.null_mask = null_mask
-        self.codes = codes
-        self.dictionary = dictionary
+        self._values = _sealed(values)
+        self.null_mask = _sealed(null_mask)
+        self.codes = _sealed(codes)
+        self.dictionary = None if dictionary is None else tuple(dictionary)
         self._pylist: list[Any] | None = None
-        for arr in (values, null_mask, codes):
-            if arr is not None and arr.flags.writeable and arr.base is None:
-                arr.flags.writeable = False
 
     @property
     def values(self) -> np.ndarray:
@@ -177,8 +185,7 @@ class ColumnBlock:
         codes = np.ascontiguousarray(codes, dtype=np.int32)
         if null_mask is None and len(codes) and codes.min() < 0:
             null_mask = codes < 0
-        return cls(None, null_mask, codes=codes,
-                   dictionary=tuple(dictionary))
+        return cls(None, null_mask, codes=codes, dictionary=dictionary)
 
     @classmethod
     def build(cls, dtype: type, values: Sequence[Any]) -> "ColumnBlock":

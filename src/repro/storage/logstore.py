@@ -13,14 +13,16 @@ Two read protocols coexist:
   consumers — every append is stamped with a monotonically increasing
   sequence number, so a tailer that remembers the last sequence it
   consumed reads each record exactly once regardless of how far out
-  of timestamp order it arrived.
+  of timestamp order it arrived; an arrival-order index beside the
+  time-sorted lists makes a poll cost the records it returns.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,6 +52,8 @@ class LogStore:
         self._times: list[float] = []
         self._entries: list[LogEntry] = []
         self._seqs: list[int] = []
+        # The same entries as ``(seq, entry)`` in arrival (= seq) order.
+        self._arrivals: list[tuple[int, LogEntry]] = []
         self._next_seq = 0
         self._mutations = 0
 
@@ -87,16 +91,16 @@ class LogStore:
         self._times.insert(index, time)
         self._entries.insert(index, entry)
         self._seqs.insert(index, self._next_seq)
+        self._arrivals.append((self._next_seq, entry))
         self._next_seq += 1
         self._mutations += 1
         self._expire_before(self._times[-1] - self._retention)
         return entry
 
-    def extend(self, entries: Mapping[float, Mapping[str, Any]] | None = None,
-               rows: list[tuple[float, dict[str, Any]]] | None = None) -> int:
-        """Bulk insert from ``rows`` (list of (time, fields)); returns count."""
+    def extend(self, rows: Iterable[tuple[float, Mapping[str, Any]]]) -> int:
+        """Bulk insert of ``(time, fields)`` pairs; returns the count."""
         count = 0
-        for time, fields in (rows or []):
+        for time, fields in rows:
             self.append(time, **fields)
             count += 1
         return count
@@ -157,13 +161,9 @@ class LogStore:
         which the monotonic cursor tolerates).  The batch is
         materialized, so subsequent appends cannot invalidate it.
         """
-        fresh = [
-            (entry_seq, entry)
-            for entry_seq, entry in zip(self._seqs, self._entries)
-            if entry_seq > seq
+        return self._arrivals[
+            bisect.bisect_right(self._arrivals, seq, key=itemgetter(0)):
         ]
-        fresh.sort(key=lambda pair: pair[0])
-        return fresh
 
     def count(self, start: float, end: float, **field_filters: Any) -> int:
         """Number of matching entries in the range."""
@@ -177,6 +177,13 @@ class LogStore:
         index = bisect.bisect_left(self._times, cutoff)
         if index == 0:
             return 0
+        # In arrival (= seq) order the expired end at the newest expired seq.
+        expired = set(self._seqs[:index])
+        head = bisect.bisect_right(
+            self._arrivals, max(expired), key=itemgetter(0))
+        self._arrivals[:head] = [
+            pair for pair in self._arrivals[:head] if pair[0] not in expired
+        ]
         del self._times[:index]
         del self._entries[:index]
         del self._seqs[:index]

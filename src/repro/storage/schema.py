@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.storage.columns import ColumnBlock
+import numpy as np
+
+from repro.storage.columns import NUMPY_DTYPES, ColumnBlock
 
 
 class SchemaError(ValueError):
@@ -72,8 +74,11 @@ class Column:
         column seals straight into a typed :class:`ColumnBlock`.  Any
         unexpected type falls back to the per-cell validator, so error
         messages and subclass-widening semantics are identical to the
-        row path.
+        row path.  A :class:`ColumnBlock` or numpy array is checked in
+        array space instead (:meth:`_validate_typed`).
         """
+        if isinstance(values, (ColumnBlock, np.ndarray)):
+            return self._validate_typed(values)
         kinds = set(map(type, values))
         has_null = type(None) in kinds
         if has_null:
@@ -90,6 +95,43 @@ class Column:
                 value if value is None else float(value) for value in values
             ]
         return ColumnBlock.build(self.dtype, values)
+
+    def _validate_typed(self, values: ColumnBlock | np.ndarray) -> ColumnBlock:
+        """Admit an already-typed column by its arrays, or raise.
+
+        The array dtype must *equal* the column's numpy dtype (no
+        widening; strings: an object array of ``str``, or ``int32``
+        codes in range of an all-``str`` dictionary, ``-1`` exactly at
+        the masked slots); mask bits only where nullable.  A bare array
+        is copied unless already read-only; blocks are sealed as built.
+        """
+        block = values if isinstance(values, ColumnBlock) else ColumnBlock(
+            values.copy() if values.flags.writeable else values)
+        codes, mask = block.codes, block.null_mask
+        data = block.values if codes is None else codes
+        if mask is None:
+            mask = np.zeros(data.shape, dtype=np.bool_)
+        ok = (data.ndim == 1 and mask.dtype == np.bool_
+              and mask.shape == data.shape)
+        if codes is None:
+            ok = ok and data.dtype == NUMPY_DTYPES[self.dtype] and (
+                data.dtype != object
+                or set(map(type, data[~mask].tolist())) <= {str})
+        else:
+            ok = (ok and self.dtype is str and codes.dtype == np.int32
+                  and set(map(type, block.dictionary)) <= {str}
+                  and np.array_equal(codes < 0, mask)
+                  and (not len(codes) or -1 <= codes.min()
+                       <= codes.max() < len(block.dictionary)))
+        if not ok:
+            raise SchemaError(
+                f"column {self.name!r} expects {self.dtype.__name__}, got a "
+                f"mistyped or malformed {data.dtype}{list(data.shape)} "
+                + ("array" if codes is None else
+                   f"codes block over {len(block.dictionary)} names"))
+        if mask.any() and not self.nullable:
+            raise SchemaError(f"column {self.name!r} is not nullable")
+        return block
 
 
 class Schema:
@@ -156,13 +198,13 @@ class Schema:
     ) -> tuple[dict[str, ColumnBlock], int]:
         """Columnar counterpart of :meth:`validate_rows`.
 
-        ``columns`` maps column names to equal-length value sequences.
-        Checks run per column (dtype and nullability over the whole
-        vector — see :meth:`Column.validate_block`) instead of per
-        cell.  Missing nullable columns become all-null blocks; missing
-        required columns, unknown names, and ragged lengths raise
-        :class:`SchemaError`.  Returns the sealed typed blocks plus the
-        row count.
+        ``columns`` maps column names to equal-length value sequences —
+        lists, blocks or arrays — checked per column (dtype and
+        nullability over the whole vector, see
+        :meth:`Column.validate_block`), not per cell.  Missing nullable
+        columns become all-null blocks; missing required columns,
+        unknown names, and ragged lengths raise :class:`SchemaError`.
+        Returns the sealed typed blocks plus the row count.
         """
         unknown = set(columns) - set(self._by_name)
         if unknown:

@@ -140,6 +140,7 @@ class StreamingCdiPipeline:
         self._state = IncrementalCdiState(
             services, catalog, weight_table, index
         )
+        # The checkpoint's row log; stays empty without a checkpoint.
         self._rows_log: list[dict[str, Any]] = []
         self._ticks = 0
         self._ignored = 0
@@ -222,7 +223,8 @@ class StreamingCdiPipeline:
         for event in events:
             row = event_to_row(event)
             if self._state.apply(row):
-                self._rows_log.append(row)
+                if self._checkpoint is not None:
+                    self._rows_log.append(row)
                 applied += 1
             else:
                 ignored += 1

@@ -11,15 +11,20 @@ shared :func:`~repro.pipeline.daily.resolve_stateful_rows` whenever a
 new one arrives (pairing is order-sensitive, so the carried raw rows
 are resolved as one group, never incrementally).
 
-Each :meth:`~IncrementalCdiState.refresh` pushes all the VMs dirtied
-since the last one through the daily job's kernel assembly
-(:func:`~repro.core.fastpath.fleet_cdi_columns_columnar`) in one call
-and splices the returned columns into per-VM caches.  The kernel is
-exact per group — the property ``run_checkpointed`` sharding already
-relies on — so a snapshot assembled from per-tick sweeps over whichever
-VMs happened to be dirty is byte-identical to a from-scratch batch
-recompute over the same rows.  That identity — not approximate
-agreement — is what ``tests/streaming`` asserts.
+The publishable snapshot is typed and maintained by delta: a fixed
+sorted VM axis (one sealed ``vm`` block, service bounds as arrays), a
+``float64`` array per category over it, and ``event_cdi`` as parallel
+arrays (VM index, event-name code, cdi) in ``(vm, event)`` order.
+:meth:`~IncrementalCdiState.refresh` pushes the dirty VMs through the
+daily job's kernel assembly
+(:func:`~repro.core.fastpath.fleet_cdi_columns_columnar`) in one call,
+scatters the category values in by index and swaps the dirty VMs' event
+segments: a tick costs Python over its events and dirty VMs plus array
+copies over the fleet.  The kernel is exact per group (what
+``run_checkpointed`` sharding relies on) and a stable sort on VM index
+restores the canonical order, so the snapshot is byte-identical — not
+approximately equal — to a from-scratch batch recompute over the same
+rows, which ``tests/streaming`` asserts.
 """
 
 from __future__ import annotations
@@ -36,17 +41,15 @@ from repro.core.fastpath import (
     flat_interval_arrays,
     fleet_cdi_columns_columnar,
 )
-from repro.core.indicator import CdiReport, ServicePeriod
+from repro.core.indicator import ServicePeriod
 from repro.pipeline.daily import (
-    _columns_to_rows,
-    _rows_to_columns,
     event_to_row,
-    fleet_report_from_columns,
     resolve_stateful_rows,
     resolve_stateless_row,
     row_severity,
 )
-from repro.pipeline.tables import event_cdi_schema, vm_cdi_schema
+from repro.serving.rollups import CATEGORIES
+from repro.storage.columns import ColumnBatch, ColumnBlock
 
 
 class IncrementalCdiState:
@@ -68,30 +71,28 @@ class IncrementalCdiState:
     def __init__(self, services: Mapping[str, ServicePeriod],
                  catalog: EventCatalog, weight_table: WeightTable,
                  index: ResolverIndex) -> None:
-        self._services = dict(services)
-        self._vm_list = sorted(self._services)
-        self._horizon = max(
-            (s.end for s in self._services.values()), default=0.0
-        )
+        vms = self._vm_names = tuple(sorted(services))
+        self._vm_index = {vm: i for i, vm in enumerate(vms)}
+        self._vm_block = ColumnBlock.build(str, vms)
+        periods = [services[vm] for vm in vms]
+        self._svc_starts = np.array([p.start for p in periods], dtype=float)
+        self._svc_ends = np.array([p.end for p in periods], dtype=float)
+        self._durations = self._svc_ends - self._svc_starts
+        # Open stateful periods clip here (max service end).
+        self._horizon = max(self._svc_ends.tolist(), default=0.0)
         self._catalog = catalog
         self._weight_table = weight_table
         self._index = index
         self._flat: dict[str, list[FlatInterval]] = {}
         self._stateful_rows: dict[str, list[dict[str, Any]]] = {}
-        # Caches hold each VM's latest kernel output; eventless VMs
-        # start at the kernel's exact zero row (0.0 integrals over the
-        # service-time denominator).
-        self._vm_row_cache: dict[str, dict[str, Any]] = {
-            vm: {
-                "vm": vm, "unavailability": 0.0, "performance": 0.0,
-                "control_plane": 0.0,
-                "service_time": service.end - service.start,
-            }
-            for vm, service in self._services.items()
-        }
-        self._event_rows_cache: dict[str, list[dict[str, Any]]] = {
-            vm: [] for vm in self._services
-        }
+        # One array per category over the VM axis; eventless VMs stay
+        # at the kernel's exact zero row.
+        self._cdi = {name: np.zeros(len(vms)) for name in CATEGORIES}
+        # event_cdi as parallel arrays in canonical (vm, event) order;
+        # ``code`` indexes the growing ``_event_names`` dictionary.
+        self._events = {"vm": np.empty(0, np.int32),
+                        "code": np.empty(0, np.int32), "cdi": np.empty(0)}
+        self._event_names: dict[str, int] = {}
         self._dirty: set[str] = set()
         self._applied = 0
 
@@ -99,11 +100,6 @@ class IncrementalCdiState:
     def applied(self) -> int:
         """Rows accepted so far (the batch job's ``event_count``)."""
         return self._applied
-
-    @property
-    def horizon(self) -> float:
-        """Open stateful periods clip here (max service end)."""
-        return self._horizon
 
     def apply(self, row: Mapping[str, Any]) -> bool:
         """Ingest one events-table row; ``False`` if out of service.
@@ -117,7 +113,7 @@ class IncrementalCdiState:
         name, raises ``ValueError`` as the batch resolve stage would.
         """
         vm = row["target"]
-        if vm not in self._services:
+        if vm not in self._vm_index:
             return False
         self._applied += 1
         name = row["name"]
@@ -154,22 +150,33 @@ class IncrementalCdiState:
         vm_idx, name_ids, weights, cats, starts, ends = flat_interval_arrays(
             ((i, self._intervals(vm)) for i, vm in enumerate(dirty)), name_of
         )
-        periods = [self._services[vm] for vm in dirty]
+        vm_index = self._vm_index
+        axis = np.array([vm_index[vm] for vm in dirty], dtype=np.int64)
         columns = fleet_cdi_columns_columnar(
-            dirty,
-            np.array([p.start for p in periods], dtype=np.float64),
-            np.array([p.end for p in periods], dtype=np.float64),
+            dirty, self._svc_starts[axis], self._svc_ends[axis],
             vm_idx, name_ids, list(name_of), weights, cats, starts, ends,
         )
-        for row in _columns_to_rows(columns.vm_columns,
-                                    vm_cdi_schema().names):
-            self._vm_row_cache[row["vm"]] = row
-            self._event_rows_cache[row["vm"]] = []
-        # Kernel output is in canonical (vm, event) order, so each VM's
-        # rows land in its cache already event-sorted.
-        for row in _columns_to_rows(columns.event_columns,
-                                    event_cdi_schema().names):
-            self._event_rows_cache[row["vm"]].append(row)
+        for name, values in self._cdi.items():
+            values[axis] = columns.vm_columns[name]
+        # Swap the dirty VMs' event segments.  The mask decides what
+        # leaves (re-pairing can shrink or empty a VM's rows); kernel
+        # output is (vm, event)-sorted and dirty/clean VMs are disjoint,
+        # so a stable sort on VM index restores the canonical order.
+        is_dirty = np.zeros(len(vm_index), dtype=np.bool_)
+        is_dirty[axis] = True
+        clean = ~is_dirty[self._events["vm"]]
+        events, codes = columns.event_columns, self._event_names
+        fresh = {
+            "vm": [vm_index[vm] for vm in events["vm"]],
+            "code": [codes.setdefault(n, len(codes)) for n in events["event"]],
+            "cdi": events["cdi"],
+        }
+        merged = {
+            key: np.concatenate((old[clean], np.array(fresh[key], old.dtype)))
+            for key, old in self._events.items()
+        }
+        order = np.argsort(merged["vm"], kind="stable")
+        self._events = {key: arr[order] for key, arr in merged.items()}
         recomputed = self._dirty
         self._dirty = set()
         return recomputed
@@ -184,33 +191,37 @@ class IncrementalCdiState:
             )
         return flat
 
+    def snapshot_columns(
+        self,
+    ) -> tuple[dict[str, ColumnBlock], dict[str, ColumnBlock]]:
+        """``(vm_cdi, event_cdi)`` as typed column blocks (the publish shape).
+
+        Canonical batch order: VM rows by VM, event rows by (VM, event).
+        Every block is a fresh read-only copy — never a view of the
+        working arrays — except the ``vm`` block, sealed once.
+        """
+        self.refresh()
+        events = self._events
+        vm_columns = {
+            "vm": self._vm_block,
+            **{name: ColumnBlock(arr.copy())
+               for name, arr in self._cdi.items()},
+            "service_time": ColumnBlock(self._durations.copy()),
+        }
+        event_columns = {
+            "vm": ColumnBlock.from_codes(events["vm"].copy(), self._vm_names),
+            "event": ColumnBlock.from_codes(events["code"].copy(),
+                                            self._event_names),
+            "cdi": ColumnBlock(events["cdi"].copy()),
+            "service_time": ColumnBlock(self._durations[events["vm"]]),
+        }
+        return vm_columns, event_columns
+
     def snapshot_rows(
         self,
     ) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
-        """``(vm_cdi, event_cdi)`` rows in the canonical batch order.
-
-        VM rows sorted by VM; event rows sorted by (VM, event) — each
-        VM's cached rows are already event-sorted, so concatenating
-        them in VM order *is* the global sort.
-        """
-        self.refresh()
-        vm_rows = [self._vm_row_cache[vm] for vm in self._vm_list]
-        event_rows: list[dict[str, Any]] = []
-        for vm in self._vm_list:
-            event_rows.extend(self._event_rows_cache[vm])
-        return vm_rows, event_rows
-
-    def snapshot_columns(self) -> tuple[dict[str, list], dict[str, list]]:
-        """Snapshot as output-table column lists (the publish shape)."""
-        vm_rows, event_rows = self.snapshot_rows()
-        return (
-            _rows_to_columns(vm_rows, vm_cdi_schema().names),
-            _rows_to_columns(event_rows, event_cdi_schema().names),
-        )
-
-    def fleet_report(self) -> CdiReport:
-        """Formula 4 aggregation over the current per-VM rows."""
-        vm_rows, _ = self.snapshot_rows()
-        return fleet_report_from_columns(
-            _rows_to_columns(vm_rows, vm_cdi_schema().names)
+        """:meth:`snapshot_columns` decoded to row dicts."""
+        return tuple(
+            list(ColumnBatch(columns, len(columns["vm"])).rows())
+            for columns in self.snapshot_columns()
         )

@@ -58,6 +58,31 @@ class TestColumnBlock:
         with pytest.raises(ValueError):
             block.null_mask[0] = True
 
+    def test_block_over_a_writeable_view_does_not_alias_it(self):
+        """Regression: a view used to stay writeable and alias its
+        buffer — writing ``buf[3]`` changed the sealed block."""
+        buf = np.arange(8, dtype=np.float64)
+        block = ColumnBlock(buf[2:5])
+        buf[3] = 99.0
+        assert block.to_pylist() == [2.0, 3.0, 4.0]
+        assert not block.values.flags.writeable
+        assert not np.shares_memory(block.values, buf)
+
+    def test_block_over_a_read_only_view_of_a_live_buffer_copies(self):
+        buf = np.arange(8, dtype=np.int32)
+        window = buf[:3]
+        window.flags.writeable = False
+        block = ColumnBlock.from_codes(window, ["a", "b", "c"])
+        buf[0] = 2
+        assert block.to_pylist() == ["a", "b", "c"]
+
+    def test_dictionary_is_sealed_to_a_tuple(self):
+        names = ["a", "b"]
+        block = ColumnBlock(None, codes=np.array([0, 1], dtype=np.int32),
+                            dictionary=names)
+        names[0] = "z"
+        assert block.to_pylist() == ["a", "b"]
+
     def test_slice_is_zero_copy(self):
         block = ColumnBlock.build(float, [1.0, 2.0, 3.0, 4.0])
         window = block[1:3]

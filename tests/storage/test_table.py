@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.storage.columns import ColumnBlock
 from repro.storage.schema import Column, Schema, SchemaError
 from repro.storage.table import Table, TableNotFoundError, TableStore
+
+from tests.strategies import block_arrays
 
 
 def make_table() -> Table:
@@ -175,6 +178,109 @@ class TestColumnarReads:
             for values in zip(*(blocks[n].to_pylist() for n in blocks))
         ]
         assert rebuilt == rows
+
+
+class TestTypedPublish:
+    """``overwrite_partition_columns`` with typed columns: the same
+    validate → replace → bump-generation protocol as lists, sealed at
+    the boundary."""
+
+    def make_table(self) -> Table:
+        table = Table("t", Schema([
+            Column("vm", str), Column("event", str), Column("value", float),
+            Column("note", str, nullable=True),
+        ]))
+        table.overwrite_partition_columns({
+            "vm": ["a", "b"], "event": ["x", "y"], "value": [0.1, 0.2],
+        }, "p")
+        return table
+
+    def typed(self) -> dict:
+        return {
+            "vm": np.array(["a", "b", "c"], dtype=object),
+            "event": ColumnBlock.from_codes(
+                np.array([1, 0, 1], dtype=np.int32), ["y", "x"]),
+            "value": np.array([0.5, float("nan"), 0.25]),
+            "note": ColumnBlock.build(str, [None, "hot", None]),
+        }
+
+    def test_typed_publish_equals_list_publish(self):
+        typed, listed = self.make_table(), self.make_table()
+        columns = self.typed()
+        before = typed.generation
+        assert typed.overwrite_partition_columns(columns, "p") == 3
+        assert listed.overwrite_partition_columns({
+            "vm": ["a", "b", "c"], "event": ["x", "y", "x"],
+            "value": [0.5, float("nan"), 0.25], "note": [None, "hot", None],
+        }, "p") == 3
+        assert repr(typed.rows("p")) == repr(listed.rows("p"))  # NaN-safe
+        assert typed.generation == listed.generation == before + 1
+        assert typed.partition_generation("p") == before + 1
+
+    @pytest.mark.parametrize("column, bad, message", [
+        ("value", np.array([1, 2, 3], dtype=np.int64), "expects float, got"),
+        ("value", np.array([0.1, 0.2, 0.3], dtype=object), "expects float, got"),
+        ("value", ColumnBlock.build(float, [0.1, None, 0.3]), "not nullable"),
+        ("event", ColumnBlock(None, codes=np.array([0, 1, 0], dtype=np.int32),
+                              dictionary=("x", 7)), "expects str, got"),
+        ("event", ColumnBlock(None, codes=np.array([0, 2, 0], dtype=np.int32),
+                              dictionary=("x", "y")), "expects str, got"),
+        ("event", ColumnBlock.from_codes([0, -1, 0], ["x"]), "not nullable"),
+        ("value", np.array([0.1, 0.2]), "ragged"),
+        ("bogus", np.array([0.1, 0.2, 0.3]), "unknown columns"),
+    ])
+    def test_rejected_typed_publish_leaves_the_table_untouched(
+            self, column, bad, message):
+        table = self.make_table()
+        held = table.columns("p")
+        rows, generation = table.rows("p"), table.generation
+        with pytest.raises(SchemaError, match=message):
+            table.overwrite_partition_columns(
+                {**self.typed(), column: bad}, "p")
+        assert table.rows("p") == rows
+        assert table.generation == generation
+        assert table.partition_generation("p") == generation
+        assert all(table.columns("p")[name] is held[name] for name in held)
+
+    def test_stored_blocks_are_sealed_and_alias_nothing_the_caller_holds(self):
+        """The boundary property: whatever was handed in — writeable
+        arrays, views, blocks over views — every stored array is
+        read-only and mutating the caller's side changes nothing."""
+        table = self.make_table()
+        values = np.array([9.0, 0.5, 0.75, 0.25, 9.0])
+        codes = np.array([1, 0, 1], dtype=np.int32)
+        names = np.array(["a", "b", "c"], dtype=object)
+        dictionary = ["y", "x"]
+        table.overwrite_partition_columns({
+            "vm": names,
+            "event": ColumnBlock(None, codes=codes[:], dictionary=dictionary),
+            "value": ColumnBlock(values[1:4]),
+        }, "p")
+        expected = table.rows("p")
+        values[:] = -1.0
+        codes[:] = 0
+        names[:] = "zzz"
+        dictionary[:] = ["q", "q"]
+        assert table.rows("p") == expected == [
+            {"vm": "a", "event": "x", "value": 0.5, "note": None},
+            {"vm": "b", "event": "y", "value": 0.75, "note": None},
+            {"vm": "c", "event": "x", "value": 0.25, "note": None},
+        ]
+        for block in table.columns("p").values():
+            for arr in block_arrays(block):
+                assert not arr.flags.writeable
+                assert not any(np.shares_memory(arr, mine)
+                               for mine in (values, codes, names))
+
+    def test_empty_typed_publish_keeps_the_partition(self):
+        table = self.make_table()
+        assert table.overwrite_partition_columns({
+            "vm": np.empty(0, dtype=object),
+            "event": ColumnBlock.from_codes([], []),
+            "value": np.empty(0),
+        }, "p") == 0
+        assert table.partitions == ["p"]
+        assert table.rows("p") == []
 
 
 class _CountingTable(Table):

@@ -42,6 +42,14 @@ KNOWN_STATELESS_NAMES = ["vm_down", "slow_io", "vm_start_failed"]
 LEVELS = [Severity.WARNING, Severity.CRITICAL, Severity.FATAL]
 
 
+def block_arrays(block) -> list:
+    """Every array reachable from a stored ``ColumnBlock`` (a dictionary
+    block's lazily decoded ``values`` is a cache, not storage)."""
+    return [arr for arr in (block.codes, block.null_mask,
+                            None if block.is_dictionary else block.values)
+            if arr is not None]
+
+
 def vm_name(index: int) -> str:
     """Canonical synthetic VM id (``vm-000`` style, sorts by index)."""
     return f"vm-{index:03d}"

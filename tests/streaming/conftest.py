@@ -84,6 +84,14 @@ def published_bytes(tables: TableStore) -> bytes:
     ], sort_keys=True).encode()
 
 
+def decoded(snapshot) -> list[dict[str, list]]:
+    """A state's typed ``snapshot_columns()`` as plain value lists —
+    the comparison form: how a string column is dictionary-encoded is
+    not part of its value."""
+    return [{name: block.to_pylist() for name, block in columns.items()}
+            for columns in snapshot]
+
+
 def batch_bytes(events: list[Event], services, *,
                 use_fastpath: bool = True) -> bytes:
     """The from-scratch batch oracle over ``events``, as bytes."""
